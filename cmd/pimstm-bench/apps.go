@@ -44,7 +44,7 @@ type appsOptions struct {
 	// Seed drives both the matrix expansion and every cell's traffic.
 	Seed uint64
 	// Parallelism is the host-side worker-pool setting (0 = GOMAXPROCS,
-	// 1 = serial reference).
+	// N = N workers).
 	Parallelism int
 	// Out is the JSON artifact path ("" = don't write).
 	Out string

@@ -112,7 +112,7 @@ var experimentList = []string{
 func main() {
 	var (
 		experiment  = flag.String("experiment", "all", strings.Join(experimentList, "|")+"|all")
-		parallelism = flag.Int("parallelism", 0, "host-side worker pool for batch phases and DPU simulation (0 = GOMAXPROCS, 1 = serial reference implementation)")
+		parallelism = flag.Int("parallelism", 0, "host-side worker pool for batch phases and DPU simulation (0 = GOMAXPROCS, N = N workers; modeled output is identical for every setting)")
 		scale       = flag.Float64("scale", 0.5, "workload scale factor (1.0 = paper sizes)")
 		seeds       = flag.Int("seeds", 3, "runs to average per point (paper: 10)")
 		tasklets    = flag.String("tasklets", "1,3,5,7,9,11", "comma-separated tasklet counts")
@@ -458,22 +458,17 @@ func main() {
 }
 
 // hostParHeader renders the host-execution context line every serving
-// experiment prints under its table header: the resolved worker count,
-// which implementation it selects, and GOMAXPROCS. It goes to stdout
-// only — the pinned JSON artifacts stay machine-independent (the scale
-// artifact, whose schema embraces real wall clock, records both fields
-// in its report header too).
+// experiment prints under its table header: the resolved worker count
+// and GOMAXPROCS. It goes to stdout only — the pinned JSON artifacts
+// stay machine-independent (the scale artifact, whose schema embraces
+// real wall clock, records both fields in its report header too).
 func hostParHeader(par int) string {
 	workers := par
-	mode := "engine"
-	switch par {
-	case 0:
+	if par == 0 {
 		workers = runtime.GOMAXPROCS(0)
-	case 1:
-		mode = "serial reference"
 	}
-	return fmt.Sprintf("host parallelism: %d worker(s), %s path, GOMAXPROCS %d",
-		workers, mode, runtime.GOMAXPROCS(0))
+	return fmt.Sprintf("host parallelism: %d worker(s), GOMAXPROCS %d",
+		workers, runtime.GOMAXPROCS(0))
 }
 
 func parseInts(s string) ([]int, error) {

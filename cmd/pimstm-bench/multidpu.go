@@ -26,7 +26,7 @@ type multiDPUOptions struct {
 	// Tasklets is the intra-DPU parallelism.
 	Tasklets int
 	// Parallelism is the host-side worker-pool setting (0 = GOMAXPROCS,
-	// 1 = serial reference).
+	// N = N workers).
 	Parallelism int
 	// Out is the JSON artifact path ("" = don't write).
 	Out string

@@ -64,7 +64,7 @@ type rebalanceOptions struct {
 	Tasklets int
 	Seed     uint64
 	// Parallelism is the host-side worker-pool setting (0 = GOMAXPROCS,
-	// 1 = serial reference).
+	// N = N workers).
 	Parallelism int
 	// Out is the JSON artifact path ("" = don't write).
 	Out string

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -49,9 +48,7 @@ type scaleOptions struct {
 	// clock blows the pinned budget, instead of printing a warning.
 	StrictBudget bool
 	// Parallelism is the host-side worker-pool setting of the measured
-	// run (0 = GOMAXPROCS). Every cell also runs the HostParallelism=1
-	// serial reference to price the engine and prove the modeled
-	// outputs identical.
+	// run (0 = GOMAXPROCS).
 	Parallelism int
 	// Out is the JSON artifact path ("" = don't write).
 	Out string
@@ -99,12 +96,9 @@ func (o *scaleOptions) fill() {
 // scaleScenario is one machine-readable cell of BENCH_scale.json.
 // The modeled fields (ops/s, latency percentiles, makespan) are a pure
 // function of the config and reproduce byte-for-byte run to run; the
-// host_* fields (schema 2) are this machine's real wall clock for the
-// host side of the cell — how long classify, route, shadow apply and
-// program compilation actually took — on the engine and on the
-// HostParallelism=1 serial reference. Both runs must produce identical
-// modeled outputs (asserted per cell), so host_speedup prices the
-// engine without any fidelity caveat.
+// host_* fields are this machine's real wall clock for the host side of
+// the cell — how long classify, route, shadow apply and program
+// compilation actually took — with the worker count they ran on.
 type scaleScenario struct {
 	DPUs          int     `json:"dpus"`
 	SimulatedDPUs int     `json:"simulated_dpus"`
@@ -119,17 +113,17 @@ type scaleScenario struct {
 	P99Seconds    float64 `json:"p99_s"`
 	Makespan      float64 `json:"makespan_s"`
 
-	HostWorkers           int     `json:"host_workers"`
-	HostWallSeconds       float64 `json:"host_wall_s"`
-	HostOpsPerSecondReal  float64 `json:"host_ops_per_s_real"`
-	HostWallSerialSeconds float64 `json:"host_wall_serial_s"`
-	HostSpeedup           float64 `json:"host_speedup"`
+	HostWorkers          int     `json:"host_workers"`
+	HostWallSeconds      float64 `json:"host_wall_s"`
+	HostOpsPerSecondReal float64 `json:"host_ops_per_s_real"`
 }
 
 // scaleReport is the top-level JSON artifact. WithinBudget, GOMAXPROCS
 // and the per-scenario host_* wall clocks depend on the machine; every
 // other field reproduces byte-for-byte. Schema 2 added the host-side
-// real-time measurements and the parallelism context they ran under.
+// real-time measurements and the parallelism context they ran under;
+// schema 3 dropped the serial-reference rerun (host_wall_serial_s,
+// host_speedup) along with the serial host path itself.
 type scaleReport struct {
 	SchemaVersion     int             `json:"schema_version"`
 	Experiment        string          `json:"experiment"`
@@ -141,29 +135,26 @@ type scaleReport struct {
 	Scenarios         []scaleScenario `json:"scenarios"`
 }
 
-// scaleCellReps is how many times each path of a cell is served; the
-// modeled outputs are identical across repetitions (and asserted so),
-// while the host wall clock keeps the best repetition — a best-of-N
-// floor is the standard way to strip scheduler noise from a
-// millisecond-scale measurement.
+// scaleCellReps is how many times a cell is served; the modeled outputs
+// are identical across repetitions, while the host wall clock keeps the
+// best repetition — a best-of-N floor is the standard way to strip
+// scheduler noise from a millisecond-scale measurement.
 const scaleCellReps = 3
 
-// runScaleCell serves one fleet-size point in sampled-fleet mode on
-// two paths: the configured engine and the HostParallelism=1 serial
-// reference. The two paths must agree on every modeled output — the
-// engine is pure mechanism — and their best-of-N host-side wall clocks
-// become the cell's host_speedup.
+// runScaleCell serves one fleet-size point in sampled-fleet mode,
+// scaleCellReps times, and records the repetition with the lowest
+// host-side wall clock.
 func runScaleCell(dpus int, skew float64, opt scaleOptions) (scaleScenario, error) {
 	keys := opt.KeysPerDPU * dpus
 	rate := opt.RatePerDPU * float64(dpus)
 	ops := opt.OpsPerDPU * dpus
-	serve := func(par int) (host.ServeResult, error) {
+	serve := func() (host.ServeResult, error) {
 		return host.Serve(host.ServeConfig{
 			Map: host.PartitionedMapConfig{
 				DPUs: dpus, Tasklets: opt.Tasklets, Sample: opt.Sample,
 				Buckets: 64, Capacity: 8 * opt.KeysPerDPU,
 				STM: core.Config{Algorithm: core.NOrec}, Mode: host.Pipelined,
-				HostParallelism: par,
+				HostParallelism: opt.Parallelism,
 			},
 			Submit: host.SubmitterConfig{
 				MaxBatch:        opt.MaxBatch,
@@ -175,43 +166,21 @@ func runScaleCell(dpus int, skew float64, opt scaleOptions) (scaleScenario, erro
 			},
 		})
 	}
-	// best serves one path scaleCellReps times and keeps the repetition
-	// with the lowest host wall clock; modeled outputs don't vary.
-	best := func(par int) (host.ServeResult, error) {
-		r, err := serve(par)
-		if err != nil {
-			return r, err
-		}
-		for i := 1; i < scaleCellReps; i++ {
-			again, err := serve(par)
-			if err != nil {
-				return r, err
-			}
-			if again.HostSeconds < r.HostSeconds {
-				r = again
-			}
-		}
-		return r, nil
-	}
-	res, err := best(opt.Parallelism)
+	res, err := serve()
 	if err != nil {
 		return scaleScenario{}, err
 	}
+	for i := 1; i < scaleCellReps; i++ {
+		again, err := serve()
+		if err != nil {
+			return scaleScenario{}, err
+		}
+		if again.HostSeconds < res.HostSeconds {
+			res = again
+		}
+	}
 	if res.Errors > 0 {
 		return scaleScenario{}, fmt.Errorf("%d/%d txns errored", res.Errors, res.Txns)
-	}
-	ref, err := best(1)
-	if err != nil {
-		return scaleScenario{}, fmt.Errorf("serial reference: %w", err)
-	}
-	// Modeled outputs must be byte-identical across host parallelism:
-	// zero the real-time counters and compare everything else.
-	engCmp, refCmp := res, ref
-	engCmp.Store, refCmp.Store = nil, nil
-	engCmp.ZeroHostClock()
-	refCmp.ZeroHostClock()
-	if !reflect.DeepEqual(engCmp, refCmp) {
-		return scaleScenario{}, fmt.Errorf("engine (%d workers) diverged from the serial reference on modeled outputs", res.HostWorkers)
 	}
 	sc := scaleScenario{
 		DPUs: dpus, SimulatedDPUs: res.SimulatedDPUs,
@@ -221,13 +190,11 @@ func runScaleCell(dpus int, skew float64, opt scaleOptions) (scaleScenario, erro
 		P50Seconds:   res.P50, P99Seconds: res.P99,
 		Makespan: res.MakespanSeconds,
 
-		HostWorkers:           res.HostWorkers,
-		HostWallSeconds:       res.HostSeconds,
-		HostWallSerialSeconds: ref.HostSeconds,
+		HostWorkers:     res.HostWorkers,
+		HostWallSeconds: res.HostSeconds,
 	}
 	if res.HostSeconds > 0 {
 		sc.HostOpsPerSecondReal = float64(res.Ops) / res.HostSeconds
-		sc.HostSpeedup = ref.HostSeconds / res.HostSeconds
 	}
 	return sc, nil
 }
@@ -254,20 +221,20 @@ func runScale(opt scaleOptions, w io.Writer) ([]scaleScenario, error) {
 	fmt.Fprintf(w, "== scale: paper-scale sampled-fleet serving sweep (%d of n DPUs simulated, batch ≤ %d ops) ==\n",
 		opt.Sample, opt.MaxBatch)
 	fmt.Fprintln(w, hostParHeader(opt.Parallelism))
-	fmt.Fprintf(w, "%6s %6s %5s %9s %9s %14s %12s %12s %12s %8s\n",
-		"#DPUs", "#sim", "zipf", "keys", "ops", "modeled ops/s", "p50 ms", "p99 ms", "host ms", "host ×")
+	fmt.Fprintf(w, "%6s %6s %5s %9s %9s %14s %12s %12s %12s\n",
+		"#DPUs", "#sim", "zipf", "keys", "ops", "modeled ops/s", "p50 ms", "p99 ms", "host ms")
 	for _, sc := range scenarios {
-		fmt.Fprintf(w, "%6d %6d %5.2f %9d %9d %14.0f %12.3f %12.3f %12.3f %8.2f\n",
+		fmt.Fprintf(w, "%6d %6d %5.2f %9d %9d %14.0f %12.3f %12.3f %12.3f\n",
 			sc.DPUs, sc.SimulatedDPUs, sc.ZipfS, sc.Keyspace, sc.Ops,
 			sc.OpsPerSecond, sc.P50Seconds*1e3, sc.P99Seconds*1e3,
-			sc.HostWallSeconds*1e3, sc.HostSpeedup)
+			sc.HostWallSeconds*1e3)
 	}
 	fmt.Fprintf(w, "real wall clock: %.1fs (budget %.0fs, within budget: %v)\n",
 		elapsed, opt.WallBudgetSeconds, within)
 
 	if opt.Out != "" {
 		blob, err := json.MarshalIndent(scaleReport{
-			SchemaVersion:     2,
+			SchemaVersion:     3,
 			Experiment:        "scale",
 			SampleDPUs:        opt.Sample,
 			GOMAXPROCS:        runtime.GOMAXPROCS(0),

@@ -154,10 +154,10 @@ type DPU struct {
 	tasklets []*Tasklet
 	live     int // tasklets not yet finished
 
-	// taskletPool holds reusable tasklet slots with persistent worker
-	// goroutines, so steady-state relaunches (the serving hot path
-	// relaunches kernels every batch) allocate nothing. A slot's worker
-	// parks on its resume channel between runs.
+	// taskletPool holds reusable tasklet slots (state and channels), so
+	// steady-state relaunches (the serving hot path relaunches kernels
+	// every batch) reuse them. Each Run starts one goroutine per program
+	// and every one of them has exited by the time Run returns.
 	taskletPool []*Tasklet
 	yieldedCh   chan *Tasklet
 
@@ -174,35 +174,22 @@ type DPU struct {
 // New builds a DPU with the given configuration.
 func New(cfg Config) *DPU {
 	cfg.fill()
-	d := &DPU{
-		cfg:  cfg,
-		mram: make([]byte, cfg.MRAMSize),
-		wram: make([]byte, cfg.WRAMSize),
+	return &DPU{
+		cfg:     cfg,
+		mram:    make([]byte, cfg.MRAMSize),
+		wram:    make([]byte, cfg.WRAMSize),
+		mramBrk: 8, // keep Addr 0 as nil
 	}
-	d.Reset()
-	return d
 }
 
 // Reset clears allocators, memory contents and run state so the DPU can
-// host a fresh program. Memory is zeroed lazily by reallocation only when
-// it was dirtied.
+// host a fresh program. Both tiers are cleared eagerly, in full.
 func (d *DPU) Reset() {
 	clear(d.mram)
 	clear(d.wram)
 	d.mramBrk = 8 // keep Addr 0 as nil
 	d.wramBrk = 0
-	d.dmaBusyUntil = 0
-	d.dmaTransfers = 0
-	d.dmaBytes = 0
-	d.reg = atomicRegister{}
-	d.tasklets = nil
-	d.live = 0
-	d.finished = false
-	d.totalCyc = 0
-	// A full reset abandons the worker pool: a prior faulted or
-	// deadlocked run may have left workers parked mid-program.
-	d.taskletPool = nil
-	d.yieldedCh = nil
+	d.ResetRun()
 }
 
 // ResetRun clears only the execution state — tasklets, DMA engine,
@@ -273,13 +260,11 @@ func (d *DPU) Run(programs []func(t *Tasklet)) (uint64, error) {
 		d.yieldedCh = make(chan *Tasklet)
 	}
 	for len(d.taskletPool) < len(programs) {
-		t := &Tasklet{
+		d.taskletPool = append(d.taskletPool, &Tasklet{
 			dpu:    d,
 			ID:     len(d.taskletPool),
 			resume: make(chan struct{}),
-		}
-		d.taskletPool = append(d.taskletPool, t)
-		go t.work()
+		})
 	}
 	if d.tasklets == nil {
 		d.tasklets = make([]*Tasklet, 0, len(programs))
@@ -292,19 +277,20 @@ func (d *DPU) Run(programs []func(t *Tasklet)) (uint64, error) {
 		t.state = stateRunnable
 		t.blockedBit = 0
 		t.panicVal = nil
+		t.kill = false
 		t.yielded = d.yieldedCh
 		t.rng = rngState(d.cfg.Seed, uint64(i))
-		t.body = prog
 		d.tasklets = append(d.tasklets, t)
+		go t.run(prog)
 	}
 
 	for d.live > 0 {
 		next := d.pickRunnable()
 		if next == nil {
 			d.finished = true
-			d.taskletPool = nil // blocked workers are unrecoverable
-			d.yieldedCh = nil
-			return 0, fmt.Errorf("dpu: deadlock, %d tasklets blocked: %s", d.live, d.blockedReport())
+			err := fmt.Errorf("dpu: deadlock, %d tasklets blocked: %s", d.live, d.blockedReport())
+			d.killLive()
+			return 0, err
 		}
 		next.resume <- struct{}{}
 		t := <-d.yieldedCh
@@ -315,18 +301,31 @@ func (d *DPU) Run(programs []func(t *Tasklet)) (uint64, error) {
 			}
 			if t.panicVal != nil {
 				// A tasklet fault is a programming error in the DPU
-				// program; surface it on the caller's goroutine. Other
-				// workers may be parked mid-program, so the pool is
-				// abandoned.
+				// program; surface it on the caller's goroutine once
+				// the tasklets parked mid-program are unwound.
 				d.finished = true
-				d.taskletPool = nil
-				d.yieldedCh = nil
+				d.killLive()
 				panic(t.panicVal)
 			}
 		}
 	}
 	d.finished = true
 	return d.totalCyc, nil
+}
+
+// killLive unwinds every tasklet of an aborted Run that has not
+// finished: each is resumed with its kill flag set, so its parked yield
+// panics with errKilled, and its goroutine reports done and exits.
+func (d *DPU) killLive() {
+	for _, t := range d.tasklets {
+		if t.state == stateDone {
+			continue
+		}
+		t.kill = true
+		t.resume <- struct{}{}
+		<-d.yieldedCh
+	}
+	d.live = 0
 }
 
 // pickRunnable returns the runnable tasklet with the smallest virtual

@@ -27,38 +27,36 @@ type Tasklet struct {
 	resume  chan struct{}
 	yielded chan *Tasklet
 
-	blockedBit int // valid while state == stateBlocked
-	panicVal   any // fault captured from the program body
-
-	// body is the program armed for the current run; the persistent
-	// worker goroutine reads it after the scheduler's first resume.
-	body func(*Tasklet)
+	blockedBit int  // valid while state == stateBlocked
+	panicVal   any  // fault captured from the program body
+	kill       bool // set by the scheduler to unwind a parked program
 
 	rng uint64
 }
 
-// work is the persistent worker loop of one pooled tasklet slot: it
-// parks on resume between runs, executes the armed program when the
-// scheduler first resumes it, and reports completion (or a captured
-// fault) through the yielded channel. Pooling the workers keeps
-// steady-state kernel relaunches allocation-free.
-func (t *Tasklet) work() {
-	for {
-		<-t.resume
-		t.runBody()
-	}
-}
+// errKilled is the panic value that unwinds a parked tasklet's program
+// when its Run ends early in a fault or a deadlock.
+type errKilled struct{}
 
-// runBody executes one armed program with fault capture.
-func (t *Tasklet) runBody() {
+// run is the goroutine of one tasklet for one Run: it waits for the
+// scheduler's first resume, executes the program with fault capture and
+// reports completion through the yielded channel, then exits. A Run
+// therefore owns its goroutines; none outlives the program it ran.
+func (t *Tasklet) run(body func(*Tasklet)) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.panicVal = r
+			if _, killed := r.(errKilled); !killed {
+				t.panicVal = r
+			}
 		}
 		t.state = stateDone
 		t.yielded <- t
 	}()
-	t.body(t)
+	<-t.resume
+	if t.kill {
+		return
+	}
+	body(t)
 }
 
 // DPU returns the hosting DPU.
@@ -71,8 +69,14 @@ func (t *Tasklet) Now() uint64 { return t.now }
 // is the globally oldest runnable one. Every shared-state access yields
 // first so that accesses happen in virtual-time order.
 func (t *Tasklet) yield() {
+	if t.kill {
+		panic(errKilled{}) // a deferred call in an unwinding program
+	}
 	t.yielded <- t
 	<-t.resume
+	if t.kill {
+		panic(errKilled{})
+	}
 }
 
 // instr charges n instruction issue slots without yielding. Use for

@@ -62,9 +62,8 @@ func measureApplyTxnsAllocs(t *testing.T, confined bool, par int) float64 {
 	})
 }
 
-// allocGatePaths are the host-execution paths every gate pins: the
-// GOMAXPROCS engine default, the HostParallelism=1 serial reference,
-// and an explicit multi-worker engine (whose small-batch dispatch
+// allocGatePaths are the engine widths every gate pins: the GOMAXPROCS
+// default, a one-worker engine, and an explicit multi-worker engine (whose small-batch dispatch
 // stays inline below the work floors — the engine must not buy its
 // parallelism with per-batch garbage).
 var allocGatePaths = []struct {
@@ -72,7 +71,7 @@ var allocGatePaths = []struct {
 	par  int
 }{
 	{"engine", 0},
-	{"serial-ref", 1},
+	{"engine-w1", 1},
 	{"engine-w4", 4},
 }
 

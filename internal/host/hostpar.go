@@ -10,12 +10,10 @@ import (
 // scratch arenas, the bounded dispatch helper, and the engine variants
 // of the host-side batch phases (transaction classification, the
 // execute round's per-key write analysis, and sampled-mode shadow-shard
-// application). The engine is selected by PartitionedMapConfig.
-// HostParallelism != 1; HostParallelism == 1 keeps the historical
-// serial implementations verbatim as the differential reference (and
-// as the baseline the scale artifact's host_speedup is measured
-// against). Every engine phase must produce byte-identical modeled
-// results to the reference:
+// application). PartitionedMapConfig.HostParallelism sizes its worker
+// pool; every batch runs through it, and every phase produces
+// byte-identical modeled results at every width — the batch-order
+// sequential fold a one-worker engine computes:
 //
 //   - Classification pass 1 writes metas[i] disjointly per transaction,
 //     so striping it over workers changes nothing.
@@ -30,11 +28,10 @@ import (
 //     results[] disjointly; shadow-failure keys are staged per worker
 //     and merged as a set union (markStale is idempotent), and a fatal
 //     commit-unit failure reports the smallest failing DPU id — the
-//     same id the ascending serial sweep would stop at, because shards
-//     are state-disjoint. (After a fatal error the engine may have
-//     applied later shards the serial sweep would have skipped; the
-//     batch error aborts the run either way, so that state is
-//     unobservable.)
+//     same id an ascending one-worker sweep stops at, because shards
+//     are state-disjoint. (After a fatal error the pool may have
+//     applied later shards that sweep would have skipped; the batch
+//     error aborts the run either way, so that state is unobservable.)
 //
 // What stays serial by design: unit routing (replica read spreading
 // and put-group tasklet-pin allocation are batch-order-sensitive),
@@ -110,20 +107,13 @@ func runWorkers(n int, f func(wid int)) {
 	wg.Wait()
 }
 
-// HostWorkers reports the effective host-side worker count: 1 on the
-// serial reference path, the resolved HostParallelism otherwise.
-func (pm *PartitionedMap) HostWorkers() int {
-	if pm.hostSerial {
-		return 1
-	}
-	return pm.hostWorkers
-}
+// HostWorkers reports the effective host-side worker count: the
+// resolved HostParallelism.
+func (pm *PartitionedMap) HostWorkers() int { return pm.hostWorkers }
 
 // ownerFast is the engine's devirtualized owner routing: the static
 // hash inlined when the placement is the stateless StaticHash (the
-// common sweep configuration), the placement interface otherwise. The
-// serial reference keeps the interface call so its measured cost stays
-// representative of the historical implementation.
+// common sweep configuration), the placement interface otherwise.
 func (pm *PartitionedMap) ownerFast(key uint64) int {
 	if n := pm.staticN; n > 0 {
 		h := key
@@ -135,12 +125,23 @@ func (pm *PartitionedMap) ownerFast(key uint64) int {
 	return pm.place.Owner(key)
 }
 
-// classifyTxnsPar is the engine's classifyTxns: pass 1 striped over
-// workers (disjoint metas writes), the conflict pass built per stripe
-// and merged in stripe order, and the union-find unchanged. Single-op
-// transactions — the serving hot shape — classify without the generic
-// per-op loop.
-func (pm *PartitionedMap) classifyTxnsPar(txns []Txn, coordinateAll bool) []txnMeta {
+// classifyTxns analyzes every transaction and resolves the batch's
+// conflict groups: transactions sharing a key at least one of them
+// writes — with a serializing party involved — are unioned, and a group
+// containing a cross-DPU transaction is coordinated as a whole (its
+// single-DPU members cannot run inside their DPU without racing the
+// coordinated writes). A batch with no serializing transaction — the
+// ApplyBatch hot path — takes the early exit and allocates nothing per
+// transaction. The returned slice is scratch reused by the next batch.
+//
+// Pass 1 is striped over workers (disjoint metas writes), the conflict
+// pass is built per stripe and merged in stripe order, and the
+// union-find folds over the merged table. Unions with smallest-index
+// roots make the partition and root ids independent of union order, so
+// the groups — and therefore the tasklet pinning and the modeled
+// schedule — do not depend on the worker count. Single-op transactions
+// — the serving hot shape — classify without the generic per-op loop.
+func (pm *PartitionedMap) classifyTxns(txns []Txn) []txnMeta {
 	sc := &pm.sc
 	if cap(sc.metas) < len(txns) {
 		sc.metas = make([]txnMeta, len(txns))
@@ -150,11 +151,11 @@ func (pm *PartitionedMap) classifyTxnsPar(txns []Txn, coordinateAll bool) []txnM
 	workers := scaleWorkers(pm.hostWorkers, n, minTxnsPerWorker)
 	anyTxnSerializing := false
 	if workers <= 1 {
-		anyTxnSerializing = pm.classifyStripe(txns, metas, 0, n, coordinateAll)
+		anyTxnSerializing = pm.classifyStripe(txns, metas, 0, n)
 	} else {
 		runWorkers(workers, func(wid int) {
 			lo, hi := wid*n/workers, (wid+1)*n/workers
-			pm.par.w[wid].anySer = pm.classifyStripe(txns, metas, lo, hi, coordinateAll)
+			pm.par.w[wid].anySer = pm.classifyStripe(txns, metas, lo, hi)
 		})
 		for wid := 0; wid < workers; wid++ {
 			if pm.par.w[wid].anySer {
@@ -162,7 +163,9 @@ func (pm *PartitionedMap) classifyTxnsPar(txns []Txn, coordinateAll bool) []txnM
 			}
 		}
 	}
-	if coordinateAll || !anyTxnSerializing {
+	// No serializing transaction ⇒ no multi-op or RMW party anywhere,
+	// so no conflict groups and nothing cross-DPU: done.
+	if !anyTxnSerializing {
 		return metas
 	}
 	if workers <= 1 {
@@ -176,7 +179,7 @@ func (pm *PartitionedMap) classifyTxnsPar(txns []Txn, coordinateAll bool) []txnM
 
 // classifyStripe fills metas[lo:hi] and reports whether the stripe
 // holds a serializing transaction.
-func (pm *PartitionedMap) classifyStripe(txns []Txn, metas []txnMeta, lo, hi int, coordinateAll bool) bool {
+func (pm *PartitionedMap) classifyStripe(txns []Txn, metas []txnMeta, lo, hi int) bool {
 	anySer := false
 	for i := lo; i < hi; i++ {
 		m := &metas[i]
@@ -185,13 +188,13 @@ func (pm *PartitionedMap) classifyStripe(txns []Txn, metas []txnMeta, lo, hi int
 			// Single op: its owner is the sole DPU and only a guarded
 			// RMW serializes — no generic loop needed.
 			ser := isRMW(ops[0].Kind)
-			*m = txnMeta{group: -1, soleDPU: pm.ownerFast(ops[0].Key), coordinated: coordinateAll, serializing: ser}
+			*m = txnMeta{group: -1, soleDPU: pm.ownerFast(ops[0].Key), serializing: ser}
 			if ser {
 				anySer = true
 			}
 			continue
 		}
-		*m = txnMeta{group: -1, soleDPU: -1, coordinated: coordinateAll}
+		*m = txnMeta{group: -1, soleDPU: -1}
 		if len(ops) == 0 {
 			continue
 		}
@@ -373,7 +376,7 @@ func (pm *PartitionedMap) shadowApplyEngine(involved []int, per [][]routedUnit, 
 			if pm.sim[id] {
 				continue
 			}
-			if err := pm.shadowRunUnitsFast(w, id, per[id], results); err != nil {
+			if err := pm.shadowRunUnits(w, id, per[id], results); err != nil {
 				return err
 			}
 		}
@@ -400,7 +403,7 @@ func (pm *PartitionedMap) shadowApplyEngine(involved []int, per [][]routedUnit, 
 				if pm.sim[id] {
 					continue
 				}
-				if err := pm.shadowRunUnitsFast(w, id, per[id], results); err != nil {
+				if err := pm.shadowRunUnits(w, id, per[id], results); err != nil {
 					if w.err == nil || id < w.errID {
 						w.err, w.errID = err, id
 					}
@@ -427,14 +430,20 @@ func (pm *PartitionedMap) shadowApplyEngine(involved []int, per [][]routedUnit, 
 	return nil
 }
 
-// shadowRunUnitsFast is the engine's shadowRunUnits: identical
-// semantics (routed order, guarded aborts, capacity failures, flush
-// rollback, operand-table-first resolution for kernel-applied units),
-// but running out of the worker's private scratch, iterating units in
-// place, staging failure keys on the worker, and taking a dedicated
-// fast path for the plain single-op client units that dominate sampled
-// serving.
-func (pm *PartitionedMap) shadowRunUnitsFast(w *hostWorker, id int, units []routedUnit, results []TxnResult) error {
+// shadowRunUnits applies one unsimulated DPU's routed units to its
+// host-side shadow shard, sequentially in routed order — batch order
+// for pinned groups, one valid serialization for independent plain ops
+// (whose same-key order within a batch is unspecified by contract).
+// Results, guarded aborts, capacity failures and flush rollbacks are
+// computed exactly as the tasklet path computes them; only the cycle
+// cost is skipped, because the round already charged this bucket
+// analytically. Kernel-applied units resolve their remote keys through
+// the same operand-table-first view the kernels use, and a commit
+// unit's store failure is as loud here as on a simulated DPU. It runs
+// out of the worker's private scratch, stages failure keys on the
+// worker, and takes a fast path for the plain single-op client units
+// that dominate sampled serving.
+func (pm *PartitionedMap) shadowRunUnits(w *hostWorker, id int, units []routedUnit, results []TxnResult) error {
 	sh := pm.shadow[id]
 	for ui := range units {
 		u := &units[ui]

@@ -8,16 +8,16 @@ import (
 )
 
 // Host-side microbenchmarks for the phases the parallel engine touches,
-// each runnable on the serial reference path (HostParallelism 1), the
-// GOMAXPROCS engine (0), and an explicit 4-worker engine — `make bench`
-// runs them all, and ReportAllocs keeps the allocation budgets visible
-// next to the timings.
+// each run on a one-worker engine (HostParallelism 1), the GOMAXPROCS
+// engine (0), and an explicit 4-worker engine — `make bench` runs them
+// all, and ReportAllocs keeps the allocation budgets visible next to
+// the timings.
 
 var benchPaths = []struct {
 	name string
 	par  int
 }{
-	{"serial-ref", 1},
+	{"engine-w1", 1},
 	{"engine", 0},
 	{"engine-w4", 4},
 }
@@ -49,11 +49,11 @@ func benchClassifyTxns(b *testing.B, par int) {
 			txns[i] = Txn{Ops: []Op{{Kind: OpGet, Key: k}}}
 		}
 	}
-	pm.classifyTxns(txns, false) // warm the scratch
+	pm.classifyTxns(txns) // warm the scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pm.classifyTxns(txns, false)
+		pm.classifyTxns(txns)
 	}
 }
 
@@ -151,22 +151,10 @@ func benchShadowFixture(b *testing.B, par int) (*PartitionedMap, []int, [][]rout
 	return pm, involved, per, results
 }
 
-// BenchmarkShadowRunUnits compares the serial shadow sweep with the
-// engine's worker-pool application over the same fabricated round.
-func BenchmarkShadowRunUnits(b *testing.B) {
-	b.Run("serial-ref", func(b *testing.B) {
-		pm, involved, per, results := benchShadowFixture(b, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, id := range involved {
-				if err := pm.shadowRunUnits(id, per[id], results); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	for _, p := range benchPaths[1:] {
+// BenchmarkShadowApply times the engine's shadow-shard application
+// over the same fabricated round at each worker count.
+func BenchmarkShadowApply(b *testing.B) {
+	for _, p := range benchPaths {
 		b.Run(p.name, func(b *testing.B) {
 			pm, involved, per, results := benchShadowFixture(b, p.par)
 			b.ReportAllocs()

@@ -24,8 +24,7 @@ func storeContents(t *testing.T, pm *PartitionedMap, keyspace int) map[uint64]ui
 
 // TestHostParallelismDifferential: every HostParallelism setting —
 // GOMAXPROCS engine, explicit 2- and 4-worker engines — produces
-// byte-identical modeled results to the HostParallelism=1 serial
-// reference, across placement × scheduler × fleet-mode variants:
+// byte-identical modeled results to the one-worker engine, across placement × scheduler × fleet-mode variants:
 // exact and sampled fleets, static-hash and directory placement with
 // an armed rebalancer (split keys included), FIFO and lane scheduling,
 // single-op and cross-DPU multi-op traffic.
@@ -155,7 +154,7 @@ func TestHostParallelismDifferential(t *testing.T) {
 			}
 			ref, refState := run(1)
 			if ref.HostWorkers != 1 {
-				t.Fatalf("serial reference reports %d workers", ref.HostWorkers)
+				t.Fatalf("one-worker engine reports %d workers", ref.HostWorkers)
 			}
 			ref.ZeroHostClock()
 			for _, par := range []int{0, 2, 4} {
@@ -165,10 +164,10 @@ func TestHostParallelismDifferential(t *testing.T) {
 				}
 				got.ZeroHostClock()
 				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("par %d diverged from serial reference:\n%+v\n%+v", par, got, ref)
+					t.Fatalf("par %d diverged from the one-worker engine:\n%+v\n%+v", par, got, ref)
 				}
 				if !reflect.DeepEqual(gotState, refState) {
-					t.Fatalf("par %d store diverged from serial reference", par)
+					t.Fatalf("par %d store diverged from the one-worker engine", par)
 				}
 			}
 		})
@@ -183,8 +182,8 @@ func TestHostParallelismDifferential(t *testing.T) {
 // The workload is commutative (guarded OpAdd on preloaded counters,
 // some cross-DPU 2-op adds), so despite nondeterministic batch
 // formation the final store state must equal both the arithmetic
-// expectation and a HostParallelism=1 serial replay of the same
-// transaction multiset.
+// expectation and a one-worker replay of the same transaction
+// multiset.
 func TestHostParallelShadowRaceStress(t *testing.T) {
 	const (
 		dpus     = 256
@@ -267,7 +266,7 @@ func TestHostParallelShadowRaceStress(t *testing.T) {
 		}
 	}
 
-	// Serial replay of the same multiset on the reference path.
+	// One-worker replay of the same multiset.
 	ref := mkMap(1)
 	for lo := 0; lo < len(allTxns); lo += 1024 {
 		hi := min(lo+1024, len(allTxns))
@@ -277,7 +276,7 @@ func TestHostParallelShadowRaceStress(t *testing.T) {
 		}
 		for i := range res {
 			if !res[i].Committed {
-				t.Fatalf("reference txn %d aborted: %+v", lo+i, res[i])
+				t.Fatalf("one-worker replay txn %d aborted: %+v", lo+i, res[i])
 			}
 		}
 	}
@@ -288,7 +287,7 @@ func TestHostParallelShadowRaceStress(t *testing.T) {
 			t.Fatalf("key %d: engine store holds (%d,%v), want %d", k, v, ok, want)
 		}
 		if v, ok := ref.Get(k); !ok || v != want {
-			t.Fatalf("key %d: reference store holds (%d,%v), want %d", k, v, ok, want)
+			t.Fatalf("key %d: one-worker replay store holds (%d,%v), want %d", k, v, ok, want)
 		}
 	}
 }

@@ -75,13 +75,11 @@ type PartitionedMap struct {
 	exec map[int]*dpuExec
 
 	// Host-parallel engine state (hostpar.go): the resolved worker
-	// count, whether the serial reference path is selected instead, the
-	// static-hash fan-in of the engine's devirtualized owner routing
-	// (0 when the placement is not a plain StaticHash), the owner
-	// closure bound once for classifyOps, and the per-worker scratch
-	// arenas with their dispatch cursor.
+	// count, the static-hash fan-in of the engine's devirtualized owner
+	// routing (0 when the placement is not a plain StaticHash), the
+	// owner closure bound once for classifyOps, and the per-worker
+	// scratch arenas with their dispatch cursor.
 	hostWorkers int
-	hostSerial  bool
 	staticN     int
 	ownerFn     func(uint64) int
 	par         hostPar
@@ -168,11 +166,9 @@ type PartitionedMapConfig struct {
 	// HostParallelism bounds the worker pool of the host-side batch
 	// phases (transaction classification, per-key write analysis,
 	// sampled shadow-shard application) and of the fleet's DPU
-	// simulations. 0 resolves to GOMAXPROCS. 1 selects the historical
-	// serial implementations verbatim — the differential reference the
-	// parallel engine must match byte-identically on every modeled
-	// artifact. Any other value runs the engine with that many workers
-	// (a 1-worker engine is HostParallelism on a single-CPU GOMAXPROCS).
+	// simulations: 0 resolves to GOMAXPROCS, N ≥ 1 runs N workers.
+	// Every batch runs through the one host engine whatever the width,
+	// and every modeled result is byte-identical across settings.
 	HostParallelism int
 }
 
@@ -252,7 +248,6 @@ func NewPartitionedMap(cfg PartitionedMapConfig) (*PartitionedMap, error) {
 		place:    cfg.Placement,
 	}
 	pm.dir, _ = cfg.Placement.(*Directory)
-	pm.hostSerial = cfg.HostParallelism == 1
 	pm.hostWorkers = cfg.HostParallelism
 	if pm.hostWorkers == 0 {
 		pm.hostWorkers = runtime.GOMAXPROCS(0)
@@ -261,9 +256,7 @@ func NewPartitionedMap(cfg PartitionedMapConfig) (*PartitionedMap, error) {
 	if _, static := cfg.Placement.(*StaticHash); static {
 		pm.staticN = cfg.DPUs
 	}
-	if !pm.hostSerial {
-		pm.par.w = make([]hostWorker, pm.hostWorkers)
-	}
+	pm.par.w = make([]hostWorker, pm.hostWorkers)
 	fo := FleetOptions{DPUs: cfg.DPUs, Tasklets: cfg.Tasklets, Parallelism: cfg.HostParallelism}
 	if cfg.Sample > 0 {
 		fo.Sample = cfg.Sample
@@ -381,23 +374,17 @@ func (pm *PartitionedMap) MaybeRebalance() (bool, error) {
 	return pm.reb.Step()
 }
 
-// ApplyTransfers executes a batch of cross-DPU atomic moves in one
-// quiescent window, each transfer a 2-key transaction — a guarded
-// debit of From (OpSub, aborting on a missing key or underflow) and a
-// credit of To (OpAdd, aborting on a missing key) — applied in batch
-// order. All transfers are CPU-coordinated regardless of placement
-// (the historical contract): the touched records ride one coalesced
-// snapshot gather, the host applies the read-modify-writes against the
-// snapshot, and the changed 16-byte records ride one coalesced
-// writeback scatter — never 331 µs CPU-mediated words. ok[i] reports
-// whether transfer i committed. Replica copies of changed keys go
-// stale and are refreshed by a later batch.
+// ApplyTransfers executes a batch of atomic moves in one quiescent
+// window through ApplyTxns, each transfer a guarded 2-key transaction —
+// a debit of From (OpSub, aborting on a missing key or underflow) and a
+// credit of To (OpAdd, aborting on a missing key) — committed in batch
+// order like any other conflicting transactions. A move whose keys
+// share a DPU runs inside that DPU's kernel; a cross-DPU move rides the
+// coalesced snapshot gather and the kernel-side commit round — never
+// 331 µs CPU-mediated words. ok[i] reports whether transfer i
+// committed. Replica copies of changed keys go stale and are refreshed
+// by a later batch.
 func (pm *PartitionedMap) ApplyTransfers(ts []Transfer) ([]bool, error) {
-	ok := make([]bool, len(ts))
-	if len(ts) == 0 {
-		pm.BatchSeconds = 0
-		return ok, nil
-	}
 	txns := make([]Txn, len(ts))
 	for i, t := range ts {
 		txns[i] = Txn{Ops: []Op{
@@ -405,10 +392,11 @@ func (pm *PartitionedMap) ApplyTransfers(ts []Transfer) ([]bool, error) {
 			{Kind: OpAdd, Key: t.To, Value: t.Amount},
 		}}
 	}
-	res, err := pm.applyTxns(txns, true)
+	res, err := pm.ApplyTxns(txns)
 	if err != nil {
 		return nil, err
 	}
+	ok := make([]bool, len(ts))
 	for i := range res {
 		ok[i] = res[i].Committed
 	}

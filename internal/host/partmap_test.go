@@ -1,9 +1,12 @@
 package host
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"pimstm/internal/core"
+	"pimstm/internal/dpu"
 )
 
 func newPM(t *testing.T, dpus int) *PartitionedMap {
@@ -192,12 +195,25 @@ func TestCrossDPUTransfer(t *testing.T) {
 }
 
 // TestApplyTransfersCoalesced: a whole batch of cross-DPU moves must
-// cost two fleet rounds (one coalesced gather, one coalesced writeback)
+// cost two fleet rounds (one coalesced gather, one coalesced commit)
 // instead of four 331 µs CPU-mediated words per move.
 func TestApplyTransfersCoalesced(t *testing.T) {
 	pm := newPM(t, 4)
+	// Sources 0..15, each paired with the next unused key ≥ 16 that
+	// another DPU owns, so every move crosses DPUs.
+	var ts []Transfer
+	keys := []uint64{}
+	next := uint64(16)
+	for k := uint64(0); k < 16; k++ {
+		for pm.owner(next) == pm.owner(k) {
+			next++
+		}
+		ts = append(ts, Transfer{From: k, To: next, Amount: 100})
+		keys = append(keys, k, next)
+		next++
+	}
 	var ops []Op
-	for k := uint64(0); k < 32; k++ {
+	for _, k := range keys {
 		ops = append(ops, Op{Kind: OpPut, Key: k, Value: 1000})
 	}
 	if _, err := pm.ApplyBatch(ops); err != nil {
@@ -205,10 +221,6 @@ func TestApplyTransfersCoalesced(t *testing.T) {
 	}
 	before := pm.Stats()
 
-	var ts []Transfer
-	for k := uint64(0); k < 16; k++ {
-		ts = append(ts, Transfer{From: k, To: k + 16, Amount: 100})
-	}
 	ts = append(ts,
 		Transfer{From: 0, To: 1, Amount: 100000}, // underflow: refused
 		Transfer{From: 424242, To: 0, Amount: 1}, // missing key: refused
@@ -226,7 +238,7 @@ func TestApplyTransfersCoalesced(t *testing.T) {
 		t.Fatalf("bad transfers accepted: %v", ok[16:])
 	}
 	total := uint64(0)
-	for k := uint64(0); k < 32; k++ {
+	for _, k := range keys {
 		v, present := pm.Get(k)
 		if !present {
 			t.Fatalf("key %d lost", k)
@@ -246,21 +258,24 @@ func TestApplyTransfersCoalesced(t *testing.T) {
 	if got := after.WallSeconds - before.WallSeconds; got >= perWord {
 		t.Fatalf("coalesced transfers cost %.3f ms, per-word path would be %.3f ms", got*1e3, perWord*1e3)
 	}
-	// Both directions move 16-byte key+value records (the host-side
-	// Walk reads both), sized by the worst-case per-DPU bucket. Every
-	// touched key was dirtied here, so gather and writeback charge the
-	// same payload.
-	buckets := map[int]int{}
-	maxWords := 0
-	for k := uint64(0); k < 32; k++ {
-		buckets[pm.owner(k)]++
-		if buckets[pm.owner(k)] > maxWords {
-			maxWords = buckets[pm.owner(k)]
+	// Every move spans two owners, so each conflict group commits
+	// through the multi-owner protocol: the gather reads one 16-byte
+	// record per touched key (the refused transfers' keys included)
+	// from its owner, and the commit scatters one 24-byte put
+	// instruction per key the committed moves changed, each charged by
+	// the worst-case per-DPU bucket.
+	bucketCost := func(perRecord int, keys []uint64) float64 {
+		buckets := map[int]int{}
+		maxRecs := 0
+		for _, k := range keys {
+			buckets[pm.owner(k)]++
+			maxRecs = max(maxRecs, buckets[pm.owner(k)])
 		}
+		return TransferSeconds(len(buckets), perRecord*maxRecs)
 	}
-	wantXfer := 2 * TransferSeconds(len(buckets), 16*maxWords)
+	wantXfer := bucketCost(16, append(slices.Clone(keys), 424242)) + bucketCost(dpu.ApplyInstrBytes, keys)
 	if got := after.TransferSeconds - before.TransferSeconds; got < wantXfer-1e-12 || got > wantXfer+1e-12 {
-		t.Fatalf("transfer window charged %.9fs, want symmetric 16-byte records: %.9fs", got, wantXfer)
+		t.Fatalf("transfer window charged %.9fs, want gather + commit buckets: %.9fs", got, wantXfer)
 	}
 
 	// Empty batch is free.
@@ -279,6 +294,93 @@ func TestApplyTransfersCoalesced(t *testing.T) {
 	}
 	if pm.BatchSeconds <= 0 {
 		t.Fatal("refused-only batch did not account its gather window")
+	}
+}
+
+// TestApplyTransfersMatchesGuardedTxns: ApplyTransfers is a thin
+// wrapper over ApplyTxns. On two identical fresh stores, a transfer
+// batch and the equivalent guarded 2-key transactions must give the
+// same outcomes, the same fleet Stats deltas, the same modeled batch
+// phases and the same store. The batch mixes same-DPU and cross-DPU
+// moves, moves chained through shared keys, an underflow and a missing
+// key.
+func TestApplyTransfersMatchesGuardedTxns(t *testing.T) {
+	var ts []Transfer
+	for k := uint64(0); k < 16; k++ {
+		ts = append(ts, Transfer{From: k, To: k + 16, Amount: 10 * (k + 1)})
+	}
+	ts = append(ts,
+		Transfer{From: 16, To: 3, Amount: 5},     // chained through keys 16 and 3
+		Transfer{From: 2, To: 9, Amount: 100000}, // underflow: refused
+		Transfer{From: 424242, To: 7, Amount: 1}, // missing key: refused
+	)
+	txns := make([]Txn, len(ts))
+	for i, tr := range ts {
+		txns[i] = NewTxn(Op{Kind: OpSub, Key: tr.From, Value: tr.Amount}, Op{Kind: OpAdd, Key: tr.To, Value: tr.Amount})
+	}
+
+	fresh := func() *PartitionedMap {
+		pm := newPM(t, 4)
+		var load []Op
+		for k := uint64(0); k < 32; k++ {
+			load = append(load, Op{Kind: OpPut, Key: k, Value: 1000})
+		}
+		if _, err := pm.ApplyBatch(load); err != nil {
+			t.Fatal(err)
+		}
+		return pm
+	}
+	modeled := func(ph ApplyTxnsStats) ApplyTxnsStats {
+		ph.HostClassifySeconds, ph.HostRouteSeconds, ph.HostShadowSeconds, ph.HostCompileSeconds = 0, 0, 0, 0
+		return ph
+	}
+
+	xfer, txn := fresh(), fresh()
+	confined := 0
+	for _, tr := range ts[:16] {
+		if xfer.owner(tr.From) == xfer.owner(tr.To) {
+			confined++
+		}
+	}
+	if confined == 0 || confined == 16 {
+		t.Fatalf("batch must mix same-DPU and cross-DPU moves (%d of 16 same-DPU)", confined)
+	}
+	xBefore, tBefore := xfer.Stats(), txn.Stats()
+	ok, err := xfer.ApplyTransfers(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := txn.ApplyTxns(txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ts {
+		if ok[i] != res[i].Committed {
+			t.Fatalf("transfer %d: ApplyTransfers ok=%v, ApplyTxns committed=%v", i, ok[i], res[i].Committed)
+		}
+	}
+	if ok[17] || ok[18] || !ok[0] {
+		t.Fatalf("unexpected outcomes: %v", ok)
+	}
+	if xBefore != tBefore {
+		t.Fatalf("fresh stores differ before the batch: %+v vs %+v", xBefore, tBefore)
+	}
+	if xs, ys := xfer.Stats(), txn.Stats(); xs != ys {
+		t.Fatalf("Stats after the batch differ:\ntransfers %+v\ntxns      %+v", xs, ys)
+	}
+	if xp, yp := modeled(xfer.BatchPhases), modeled(txn.BatchPhases); !reflect.DeepEqual(xp, yp) {
+		t.Fatalf("BatchPhases differ:\ntransfers %+v\ntxns      %+v", xp, yp)
+	}
+	if xfer.BatchSeconds != txn.BatchSeconds || xfer.TxnsCoordinated != txn.TxnsCoordinated {
+		t.Fatalf("batch window differs: %g/%d vs %g/%d",
+			xfer.BatchSeconds, xfer.TxnsCoordinated, txn.BatchSeconds, txn.TxnsCoordinated)
+	}
+	for k := uint64(0); k < 32; k++ {
+		xv, xok := xfer.Get(k)
+		yv, yok := txn.Get(k)
+		if xv != yv || xok != yok {
+			t.Fatalf("key %d: transfers store (%d,%v), txns store (%d,%v)", k, xv, xok, yv, yok)
+		}
 	}
 }
 

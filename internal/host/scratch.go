@@ -115,7 +115,7 @@ func (v *remView) Lookup(k uint64) (uint64, bool) {
 // evalScratch is the reusable state of one transaction evaluation:
 // write order, overlay and pre-txn images. One lives per (DPU, tasklet
 // slot) for the parallel kernels plus one on the batch scratch for the
-// host-applied phases.
+// host-prepare phase.
 type evalScratch struct {
 	order  []uint64
 	writes map[uint64]txnWrite
@@ -277,7 +277,6 @@ type batchScratch struct {
 	dirtyKeys    []uint64
 	coordWritten map[uint64]bool
 	eval         evalScratch
-	wbPut, wbDel dpuKeyLists
 
 	// Kernel-side commit (the writeback round). rootHasWrite/rootOwner
 	// classify each conflict group's write set (indexed by group root);
@@ -293,7 +292,6 @@ type batchScratch struct {
 	wbInstrBuckets []int
 	wbInstrs       []dpu.ApplyInstr
 	remOps         []dpu.ApplyOperand
-	shadowRem      remView
 
 	// Execute round.
 	perDPU       [][]routedUnit
@@ -380,8 +378,6 @@ func (sc *batchScratch) init(dpus int) {
 	sc.mutInvolved = make([]int, 0, dpus)
 	sc.mutSimIDs = make([]int, 0, dpus)
 	sc.perSrc.ensure(dpus)
-	sc.wbPut.ensure(dpus)
-	sc.wbDel.ensure(dpus)
 	sc.ctlSrc.ensure(dpus)
 	sc.ctlPut.ensure(dpus)
 	sc.ctlDel.ensure(dpus)

@@ -449,10 +449,9 @@ type ServeResult struct {
 	// speed, not modeled time. It varies run to run and across machines;
 	// byte-identity comparisons must go through ZeroHostClock first.
 	HostSeconds float64
-	// HostWorkers is the store's effective host-side worker count
-	// (1 on the serial reference path, the resolved HostParallelism
-	// otherwise) — recorded so artifacts are interpretable across
-	// machines.
+	// HostWorkers is the store's effective host-side worker count (the
+	// resolved HostParallelism) — recorded so artifacts are
+	// interpretable across machines.
 	HostWorkers int
 	// Results are the per-transaction outcomes in trace order; nil
 	// unless ServeConfig.KeepResults is set.

@@ -421,7 +421,7 @@ func (pm *PartitionedMap) runSplitFoldRound() error {
 			}
 			// All fold units are single-op commit records (ti < 0), so
 			// the shadow runner never touches transaction results.
-			if err := pm.shadowRunUnits(id, sc.wbPerDPU[id], nil); err != nil {
+			if err := pm.shadowRunUnits(&pm.par.w[0], id, sc.wbPerDPU[id], nil); err != nil {
 				return err
 			}
 		}
@@ -447,10 +447,8 @@ func (pm *PartitionedMap) runSplitFoldRound() error {
 // protocol at the top of this file. It returns the batch to execute:
 // the original slice when nothing qualifies for rewriting, or a scratch
 // copy whose qualifying adds target delta shards (client transactions
-// are never mutated in place). In coordinateAll mode (ApplyTransfers)
-// nothing is ever rewritten — every touched split key reconciles and
-// the batch runs on the historical host-coordinated path verbatim.
-func (pm *PartitionedMap) splitRewrite(txns []Txn, coordinateAll bool) ([]Txn, error) {
+// are never mutated in place).
+func (pm *PartitionedMap) splitRewrite(txns []Txn) ([]Txn, error) {
 	sc := &pm.sc
 	dir := pm.dir
 	clear(sc.splitTouch)
@@ -464,9 +462,9 @@ func (pm *PartitionedMap) splitRewrite(txns []Txn, coordinateAll bool) ([]Txn, e
 			touched = true
 			f := sc.splitTouch[op.Key]
 			switch {
-			case op.Kind == OpAdd && !coordinateAll:
+			case op.Kind == OpAdd:
 				f |= splitTouchAdd
-			case op.Kind == OpSub && !coordinateAll:
+			case op.Kind == OpSub:
 				f |= splitTouchSub
 			case op.Kind == OpGet:
 				f |= splitTouchRead
@@ -578,7 +576,7 @@ func (pm *PartitionedMap) splitRewrite(txns []Txn, coordinateAll bool) ([]Txn, e
 	slices.Sort(drops)
 	sc.splitRecon, sc.splitDrop = recon, drops
 	if len(recon) > 0 || len(drops) > 0 {
-		if err := pm.reconcileSplitKeys(recon, drops, !coordinateAll); err != nil {
+		if err := pm.reconcileSplitKeys(recon, drops, true); err != nil {
 			return nil, err
 		}
 	}
@@ -607,7 +605,7 @@ func (pm *PartitionedMap) splitRewrite(txns []Txn, coordinateAll bool) ([]Txn, e
 			break
 		}
 	}
-	if !rewrite || coordinateAll {
+	if !rewrite {
 		return txns, nil
 	}
 	work := append(sc.splitTxns[:0], txns...)

@@ -873,44 +873,3 @@ func TestSplitUnsplitHysteresis(t *testing.T) {
 		t.Fatal("directory holds splits under uniform traffic")
 	}
 }
-
-// TestApplyTransfersHostSideCostModel pins the legacy coordinate-all
-// cost model DESIGN.md §5.4 documents: ApplyTransfers evaluates and
-// commits host-side between kernel launches, so a transfer batch
-// charges its snapshot gather and its commit scatter but zero apply
-// kernel cycles — ApplySeconds stays exactly 0 while both neighbors
-// are paid. The kernel-side commit (and the split reconciliation fold)
-// are the only writers of ApplySeconds.
-func TestApplyTransfersHostSideCostModel(t *testing.T) {
-	pm := newPM(t, 4)
-	var load []Op
-	for k := uint64(0); k < 8; k++ {
-		load = append(load, Op{Kind: OpPut, Key: k, Value: 1000})
-	}
-	if _, err := pm.ApplyBatch(load); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := pm.ApplyTransfers([]Transfer{
-		{From: 0, To: 1, Amount: 10},
-		{From: 2, To: 3, Amount: 20},
-		{From: 4, To: 5, Amount: 30},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ok {
-		if !ok[i] {
-			t.Fatalf("transfer %d failed", i)
-		}
-	}
-	ph := pm.BatchPhases
-	if ph.ApplySeconds != 0 {
-		t.Fatalf("host-side transfers charged %.12fs of apply kernel time; the legacy path runs on the CPU between launches", ph.ApplySeconds)
-	}
-	if ph.GatherSeconds <= 0 {
-		t.Fatal("transfer batch gathered for free")
-	}
-	if ph.WritebackSeconds <= 0 {
-		t.Fatal("transfer batch committed for free")
-	}
-}

@@ -222,67 +222,6 @@ type ApplyTxnsStats struct {
 	HostCompileSeconds  float64
 }
 
-// classifyTxns analyzes every transaction and resolves the batch's
-// conflict groups: transactions sharing a key at least one of them
-// writes — with a serializing party involved — are unioned, and a group
-// containing a cross-DPU transaction is coordinated as a whole (its
-// single-DPU members cannot run inside their DPU without racing the
-// host-applied writes). With coordinateAll every transaction is
-// coordinated regardless (the ApplyTransfers compatibility mode, which
-// keeps that path's cost model bit-for-bit). A batch of plain single
-// ops — the ApplyBatch hot path — takes the early exit and allocates
-// nothing per transaction. The returned slice is scratch reused by the
-// next batch.
-//
-// The union order differs from the seed's sorted-key sweep (each
-// transaction unions with its keys' first touchers, in batch order),
-// but unions with smallest-index roots make the resulting partition and
-// root ids independent of union order, so the groups — and therefore
-// the tasklet pinning and the modeled schedule — are identical.
-//
-// HostParallelism == 1 runs the historical serial implementation;
-// everything else runs the sharded engine (hostpar.go), whose merged
-// tables are equal to the serial fold by construction.
-func (pm *PartitionedMap) classifyTxns(txns []Txn, coordinateAll bool) []txnMeta {
-	if pm.hostSerial {
-		return pm.classifyTxnsSerial(txns, coordinateAll)
-	}
-	return pm.classifyTxnsPar(txns, coordinateAll)
-}
-
-// classifyTxnsSerial is the reference implementation: one sequential
-// pass per transaction, then — only for batches that can conflict — the
-// sequential per-key table and the union-find.
-func (pm *PartitionedMap) classifyTxnsSerial(txns []Txn, coordinateAll bool) []txnMeta {
-	sc := &pm.sc
-	if cap(sc.metas) < len(txns) {
-		sc.metas = make([]txnMeta, len(txns))
-	}
-	metas := sc.metas[:len(txns)]
-	anyTxnSerializing := false
-	for i := range txns {
-		m := &metas[i]
-		*m = txnMeta{group: -1, soleDPU: -1, coordinated: coordinateAll}
-		ops := txns[i].Ops
-		if len(ops) == 0 {
-			continue
-		}
-		m.soleDPU, m.serializing = classifyOps(ops, pm.owner)
-		m.cross = m.soleDPU < 0
-		if m.serializing {
-			anyTxnSerializing = true
-		}
-	}
-	// No serializing transaction ⇒ no multi-op or RMW party anywhere,
-	// so no conflict groups and nothing cross-DPU: done.
-	if coordinateAll || !anyTxnSerializing {
-		return metas
-	}
-	pm.buildClassK(txns, metas)
-	pm.resolveGroups(txns, metas)
-	return metas
-}
-
 // buildClassK is the conflict pass, run only for batches that can
 // actually conflict: per key, the first toucher in batch order, whether
 // any transaction writes it, and whether a serializing party touches
@@ -372,7 +311,7 @@ func (pm *PartitionedMap) resolveGroups(txns []Txn, metas []txnMeta) {
 // members' apply programs execute in that home DPU's writeback kernel —
 // while a group writing across owners, or not writing, keeps the host
 // prepare path. Only valid when classifyTxns ran its union-find, i.e.
-// the batch has coordinated groups and coordinateAll is off.
+// the batch has coordinated groups.
 //
 // The classification is sound because conflict groups are closed over
 // shared keys: every batch toucher of a key a coordinated group writes
@@ -465,13 +404,6 @@ func (pm *PartitionedMap) gatherSources(keys []uint64) map[uint64]int {
 // transactions keep the concurrent per-op semantics of ApplyBatch.
 // BatchSeconds reports the whole window's wall-clock delta.
 func (pm *PartitionedMap) ApplyTxns(txns []Txn) ([]TxnResult, error) {
-	return pm.applyTxns(txns, false)
-}
-
-// applyTxns is ApplyTxns plus the coordinateAll compatibility mode used
-// by ApplyTransfers: every transaction is host-coordinated, preserving
-// the historical two-round gather/writeback cost model exactly.
-func (pm *PartitionedMap) applyTxns(txns []Txn, coordinateAll bool) ([]TxnResult, error) {
 	results := make([]TxnResult, len(txns))
 	totalOps := 0
 	for i := range txns {
@@ -500,12 +432,12 @@ func (pm *PartitionedMap) applyTxns(txns []Txn, coordinateAll bool) ([]TxnResult
 	work := txns
 	if pm.dir != nil && pm.dir.splitCount() > 0 {
 		var err error
-		if work, err = pm.splitRewrite(txns, coordinateAll); err != nil {
+		if work, err = pm.splitRewrite(txns); err != nil {
 			return nil, err
 		}
 	}
 	classifyStart := time.Now()
-	metas := pm.classifyTxns(work, coordinateAll)
+	metas := pm.classifyTxns(work)
 
 	coordinated := sc.coordinated[:0]
 	for i := range metas {
@@ -516,11 +448,10 @@ func (pm *PartitionedMap) applyTxns(txns []Txn, coordinateAll bool) ([]TxnResult
 	sc.coordinated = coordinated
 
 	// Commit-path classification: single-owner write sets kernel-apply,
-	// everything else (multi-owner, read-only, and the coordinateAll
-	// compatibility mode) prepares host-side. classifyTxns ran its
-	// union-find exactly when coordinated groups exist without
-	// coordinateAll, which is when the group roots are valid.
-	if !coordinateAll && len(coordinated) > 0 {
+	// everything else (multi-owner, read-only) prepares host-side.
+	// classifyTxns ran its union-find whenever coordinated groups exist,
+	// so the group roots are valid.
+	if len(coordinated) > 0 {
 		pm.classifyGroups(work, metas, coordinated)
 	}
 	pm.BatchPhases.HostClassifySeconds += time.Since(classifyStart).Seconds()
@@ -599,61 +530,11 @@ func (pm *PartitionedMap) applyTxns(txns []Txn, coordinateAll bool) ([]TxnResult
 		return nil, err
 	}
 
-	// Phase 4 (commit). coordinateAll keeps the historical host-applied
-	// path verbatim — one coalesced writeback scatter of the dirty
-	// records through the mutate kernels, the ApplyTransfers cost model
-	// bit-for-bit. Everything else commits through the writeback round:
-	// kernel-applied groups execute their compiled apply programs on
-	// their home DPUs, and the host-prepared groups' decided records run
-	// as commit units on their owners.
-	if coordinateAll {
-		sc.dirtyKeys = appendMapKeys(sc.dirtyKeys[:0], sc.dirty)
-		dirtyKeys := sc.dirtyKeys
-		wbKeys := dirtyKeys[:0]
-		for _, k := range dirtyKeys {
-			if _, ok := state[k]; ok || sc.startPresent[k] {
-				wbKeys = append(wbKeys, k)
-			}
-		}
-		if len(wbKeys) > 0 {
-			sc.wbPut.reset()
-			sc.wbDel.reset()
-			dropAfter, staleAfter := sc.dropAfter[:0], sc.staleAfter[:0]
-			for _, k := range wbKeys {
-				o := pm.owner(k)
-				if _, ok := state[k]; ok {
-					sc.wbPut.add(o, k)
-					if pm.dir != nil && len(pm.dir.allReplicas(k)) > 0 {
-						// Copies go stale and a later batch refreshes them
-						// from the owner — same protocol as transfers.
-						staleAfter = append(staleAfter, k)
-					}
-					continue
-				}
-				sc.wbDel.add(o, k)
-				if pm.dir != nil {
-					for _, r := range pm.dir.allReplicas(k) {
-						sc.wbDel.add(r, k)
-					}
-					dropAfter = append(dropAfter, k)
-				}
-			}
-			sc.dropAfter, sc.staleAfter = dropAfter, staleAfter
-			commitBefore := pm.fleet.Stats().WallSeconds
-			if err := pm.mutateLists(&sc.wbPut, state, &sc.wbDel); err != nil {
-				return nil, err
-			}
-			// The host applied the RMWs for free in this mode; the
-			// mutate round is pure writeback.
-			pm.BatchPhases.WritebackSeconds += pm.fleet.Stats().WallSeconds - commitBefore
-			for _, k := range dropAfter {
-				pm.dir.dropReplicas(k)
-			}
-			for _, k := range staleAfter {
-				pm.dir.markStale(k)
-			}
-		}
-	} else if len(coordinated) > 0 {
+	// Phase 4 (commit): the writeback round. Kernel-applied groups
+	// execute their compiled apply programs on their home DPUs, and the
+	// host-prepared groups' decided records run as commit units on
+	// their owners.
+	if len(coordinated) > 0 {
 		if err := pm.writebackRound(work, metas, results, state); err != nil {
 			return nil, err
 		}
@@ -781,74 +662,21 @@ func (pm *PartitionedMap) executeRound(txns []Txn, metas []txnMeta, results []Tx
 	// just stales them, and the next window's refresh either restores
 	// or reaps the copies depending on what actually committed.
 	//
-	// The serial reference runs the historical per-op fold; the engine
-	// takes a single-op fast path (or the striped parallel build when
-	// the batch is large enough to shard). All three produce the same
-	// table — the merge rules are in hostpar.go.
-	//
-	// Table reclamation differs on purpose. The reference clears the
-	// whole map — O(table capacity), so one huge preload batch taxes
-	// every later batch. The engine deletes exactly the previous
-	// batch's written keys (wroteKeys lists every entry by
-	// construction), and without a directory it skips the table
-	// entirely: its only consumers are the replica routing rules and
-	// the write-through/refresh passes, all directory-gated, so the
-	// engine fuses pass 1 and pass 2 into one sweep and sc.keyW stays
-	// empty for the store's lifetime.
+	// Without a directory the table is skipped entirely: its only
+	// consumers are the replica routing rules and the
+	// write-through/refresh passes, all directory-gated, so pass 1 and
+	// pass 2 fuse into one sweep and sc.keyW stays empty for the
+	// store's lifetime. With a directory, a single-op fast path (or the
+	// striped parallel build when the batch is large enough to shard;
+	// the merge rules are in hostpar.go) builds the table, reclaiming it
+	// by deleting exactly the previous batch's written keys (wroteKeys
+	// lists every entry by construction) — never clearing the whole
+	// map, whose capacity one huge preload batch would otherwise tax
+	// every later batch with.
 	hasUnits := false
 	fusedRoute := false
 	inlineShadow := false
-	if pm.hostSerial {
-		clear(sc.keyW)
-		wroteKeys := sc.wroteKeys[:0]
-		for i := range txns {
-			if metas[i].coordinated {
-				continue
-			}
-			if len(txns[i].Ops) == 0 {
-				results[i].Committed = true // an empty transaction commits trivially
-				continue
-			}
-			hasUnits = true
-			guarded := false
-			for _, op := range txns[i].Ops {
-				if isRMW(op.Kind) {
-					guarded = true
-				}
-			}
-			for _, op := range txns[i].Ops {
-				if op.Kind == OpGet {
-					continue
-				}
-				kw := sc.keyW[op.Key]
-				if !kw.wrote {
-					kw.wrote = true
-					wroteKeys = append(wroteKeys, op.Key)
-				}
-				switch op.Kind {
-				case OpPut:
-					kw.puts++
-					if guarded {
-						kw.fk = fkFalse
-					} else {
-						kw.lastPut = op.Value
-						kw.fk = fkTrue
-					}
-				case OpDelete:
-					kw.dels = true
-					if guarded {
-						kw.fk = fkFalse
-					} else {
-						kw.delsCommit = true
-					}
-				case OpAdd, OpSub:
-					kw.fk = fkFalse
-				}
-				sc.keyW[op.Key] = kw
-			}
-		}
-		sc.wroteKeys = wroteKeys
-	} else if pm.dir == nil {
+	if pm.dir == nil {
 		fusedRoute = true
 		// When every client unit in the batch is single-op, the
 		// per-shard apply order is batch order no matter where the op
@@ -993,8 +821,8 @@ func (pm *PartitionedMap) executeRound(txns []Txn, metas []txnMeta, results []Tx
 	// putGroups allocates the tasklet-pin ids of the legacy
 	// replicated-put rule; the ids are negative below -1 so they can
 	// never collide with conflict-group roots (transaction indexes).
-	// The engine's fused directory-free sweep routed everything in
-	// pass 1 already — without a directory there are no replicas (the
+	// The fused directory-free sweep routed everything in pass 1
+	// already — without a directory there are no replicas (the
 	// Placement contract pins Replicas ≡ nil) and no put groups, so
 	// the routing switch below is all no-ops.
 	if !fusedRoute {
@@ -1091,7 +919,7 @@ func (pm *PartitionedMap) executeRound(txns []Txn, metas []txnMeta, results []Tx
 	}
 	sc.dropAfter, sc.freshAfter, sc.staleAfter = dropAfter, freshAfter, staleAfter
 
-	if !pm.hostSerial && len(sc.dpuTouched)*8 >= len(sc.perDPU) {
+	if len(sc.dpuTouched)*8 >= len(sc.perDPU) {
 		// Dense batch: rebuilding the touched set by an ascending fleet
 		// scan beats sorting it (the 2500-DPU sweeps touch nearly every
 		// DPU every batch). Same set, same ascending order.
@@ -1169,16 +997,7 @@ func (pm *PartitionedMap) executeRound(txns []Txn, metas []txnMeta, results []Tx
 		// per-op rate from what the simulated kernels just measured so
 		// the next round's floor tracks the live workload.
 		shadowStart := time.Now()
-		if pm.hostSerial {
-			for _, id := range involved {
-				if pm.sim[id] {
-					continue
-				}
-				if err := pm.shadowRunUnits(id, sc.perDPU[id], results); err != nil {
-					return err
-				}
-			}
-		} else if !inlineShadow {
+		if !inlineShadow {
 			if err := pm.shadowApplyEngine(involved, sc.perDPU, results); err != nil {
 				return err
 			}
@@ -1374,16 +1193,7 @@ func (pm *PartitionedMap) writebackRound(txns []Txn, metas []txnMeta, results []
 	}
 	if pm.sampled {
 		shadowStart := time.Now()
-		if pm.hostSerial {
-			for _, id := range involved {
-				if pm.sim[id] {
-					continue
-				}
-				if err := pm.shadowRunUnits(id, sc.wbPerDPU[id], results); err != nil {
-					return err
-				}
-			}
-		} else if err := pm.shadowApplyEngine(involved, sc.wbPerDPU, results); err != nil {
+		if err := pm.shadowApplyEngine(involved, sc.wbPerDPU, results); err != nil {
 			return err
 		}
 		pm.BatchPhases.HostShadowSeconds += time.Since(shadowStart).Seconds()
@@ -1592,86 +1402,4 @@ func (e *dpuExec) runTasklet(ti int, t *dpu.Tasklet) {
 		results[u.ti].Committed = committed && flushErr == nil
 		results[u.ti].Err = flushErr
 	}
-}
-
-// shadowRunUnits applies one unsimulated DPU's routed units to its
-// host-side shadow shard, sequentially in routed order — batch order
-// for pinned groups, one valid serialization for independent plain ops
-// (whose same-key order within a batch is unspecified by contract).
-// Results, guarded aborts, capacity failures and flush rollbacks are
-// computed exactly as the tasklet path computes them; only the cycle
-// cost is skipped, because the round already charged this bucket
-// analytically. Kernel-applied units resolve their remote keys through
-// the same operand-table-first view the kernels use (compile∘decode is
-// the identity, so the shard executes the original ops directly), and a
-// commit unit's store failure is as loud here as on a simulated DPU.
-func (pm *PartitionedMap) shadowRunUnits(id int, units []routedUnit, results []TxnResult) error {
-	sc := &pm.sc
-	for _, u := range units {
-		if u.ti < 0 || (len(u.ops) == 1 && !isRMW(u.ops[0].Kind)) {
-			op := u.ops[0]
-			var res OpResult
-			switch op.Kind {
-			case OpGet:
-				res.Value, res.OK = pm.shadowGet(id, op.Key)
-			case OpPut:
-				ins, err := pm.shadowPut(id, op.Key, op.Value)
-				res.OK, res.Err = ins, err
-			case OpDelete:
-				res.OK = pm.shadowDelete(id, op.Key)
-			}
-			if u.ti >= 0 {
-				results[u.ti].Results[0] = res
-				results[u.ti].Committed = res.Err == nil
-				results[u.ti].Err = res.Err
-			} else if res.Err != nil {
-				if u.kind == unitCommit {
-					return fmt.Errorf("host: writeback commit on dpu %d: %w", id, res.Err)
-				}
-				sc.shadowFailed[op.Key] = true
-			}
-			continue
-		}
-		var lk keyLookup = stateLookup(pm.shadow[id])
-		if u.kind == unitApply {
-			sc.shadowRem.rem = u.rem
-			sc.shadowRem.next = pm.shadow[id]
-			lk = &sc.shadowRem
-		}
-		res := results[u.ti].Results
-		for r := range res {
-			res[r] = OpResult{}
-		}
-		order, ok := sc.eval.run(u.ops, res, lk)
-		var flushErr error
-		if ok {
-			flushed := 0
-			for _, k := range order {
-				if sc.eval.writes[k].del {
-					pm.shadowDelete(id, k)
-					flushed++
-					continue
-				}
-				if _, err := pm.shadowPut(id, k, sc.eval.writes[k].val); err != nil {
-					flushErr = err
-					break
-				}
-				flushed++
-			}
-			if flushErr != nil {
-				for r := flushed - 1; r >= 0; r-- {
-					k := order[r]
-					p := sc.eval.prior[k]
-					if p.del {
-						pm.shadowDelete(id, k)
-						continue
-					}
-					pm.shadowPut(id, k, p.val)
-				}
-			}
-		}
-		results[u.ti].Committed = ok && flushErr == nil
-		results[u.ti].Err = flushErr
-	}
-	return nil
 }

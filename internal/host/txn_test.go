@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimstm/internal/core"
+	"pimstm/internal/dpu"
 )
 
 // TestTxnSingleDPUAtomicity: a transaction confined to one DPU runs as
@@ -197,11 +198,13 @@ func TestTxnConflictSerialization(t *testing.T) {
 	}
 }
 
-// TestTransferBetweenCostUnchanged is the wrapper-parity regression:
-// TransferBetween is now a 2-key transaction, but its semantics and
-// modeled cost must match the historical host-mediated path exactly —
-// two fleet rounds, symmetric 16-byte records, worst-case bucket.
-func TestTransferBetweenCostUnchanged(t *testing.T) {
+// TestTransferBetweenCost pins TransferBetween's modeled cost on the
+// one transaction path, where it is a guarded 2-key Txn. A cross-DPU
+// pair is a multi-owner group: one 16-byte record gathered from each
+// owner, then one 24-byte commit instruction scattered to each — two
+// fleet rounds. A same-DPU pair is confined: one execute round whose
+// bucket carries both ops (24-byte scatter and 16-byte gather per op).
+func TestTransferBetweenCost(t *testing.T) {
 	pm := newPM(t, 4)
 	a, b := uint64(1), uint64(2)
 	for pm.owner(b) == pm.owner(a) {
@@ -222,15 +225,18 @@ func TestTransferBetweenCostUnchanged(t *testing.T) {
 	if got := after.Rounds - before.Rounds; got != 2 {
 		t.Fatalf("transfer took %d rounds, want 2", got)
 	}
-	// Historical model: one gather and one writeback of one 16-byte
-	// record per involved DPU (the two keys live on distinct DPUs).
-	want := 2 * TransferSeconds(2, 16)
+	want := TransferSeconds(2, 16) + TransferSeconds(2, dpu.ApplyInstrBytes)
 	if got := after.TransferSeconds - before.TransferSeconds; got < want-1e-12 || got > want+1e-12 {
-		t.Fatalf("transfer charged %.9fs, historical model is %.9fs", got, want)
+		t.Fatalf("transfer charged %.9fs, gather + commit model is %.9fs", got, want)
+	}
+	if va, _ := pm.Get(a); va != 700 {
+		t.Fatalf("a = %d, want 700", va)
+	}
+	if vb, _ := pm.Get(b); vb != 800 {
+		t.Fatalf("b = %d, want 800", vb)
 	}
 
-	// Same-DPU pair: both records ride one DPU's link, gather and
-	// writeback each carry the 2-record bucket.
+	// Same-DPU pair: a confined transaction, run in one kernel.
 	c := a + 1
 	for pm.owner(c) != pm.owner(a) || c == a {
 		c++
@@ -243,12 +249,18 @@ func TestTransferBetweenCostUnchanged(t *testing.T) {
 		t.Fatalf("same-DPU transfer: %v %v", ok, err)
 	}
 	after = pm.Stats()
-	if got := after.Rounds - before.Rounds; got != 2 {
-		t.Fatalf("same-DPU transfer took %d rounds, want 2", got)
+	if got := after.Rounds - before.Rounds; got != 1 {
+		t.Fatalf("same-DPU transfer took %d rounds, want 1 (execute)", got)
 	}
-	want = 2 * TransferSeconds(1, 16*2)
+	want = TransferSeconds(1, 24*2) + TransferSeconds(1, 16*2)
 	if got := after.TransferSeconds - before.TransferSeconds; got < want-1e-12 || got > want+1e-12 {
-		t.Fatalf("same-DPU transfer charged %.9fs, historical model is %.9fs", got, want)
+		t.Fatalf("same-DPU transfer charged %.9fs, execute-round model is %.9fs", got, want)
+	}
+	if va, _ := pm.Get(a); va != 650 {
+		t.Fatalf("a = %d, want 650", va)
+	}
+	if vc, _ := pm.Get(c); vc != 150 {
+		t.Fatalf("c = %d, want 150", vc)
 	}
 }
 
@@ -557,9 +569,7 @@ func TestApplyTxnsEmpty(t *testing.T) {
 // kernel-apply fast path (gather + commit round, apply cycles charged
 // on-DPU), guard aborts roll back inside the kernel, a group writing
 // across owners pays the same two rounds through the prepare/commit
-// protocol, and the coordinateAll compatibility mode still applies
-// host-side for free (its ApplySeconds stays zero — the honesty caveat
-// the phase split exists to expose).
+// protocol.
 func TestKernelCommitProtocol(t *testing.T) {
 	pm := newPM(t, 4)
 	// w and w2 share an owner (the write set's home); r lives elsewhere
@@ -652,18 +662,5 @@ func TestKernelCommitProtocol(t *testing.T) {
 	}
 	if vr, _ := pm.Get(r); vr != 17 {
 		t.Fatalf("r = %d", vr)
-	}
-
-	// coordinateAll (ApplyTransfers) keeps the historical host-applied
-	// writeback: gather and writeback are paid, apply cycles are not.
-	if ok, err := pm.TransferBetween(w, r, 5); err != nil || !ok {
-		t.Fatalf("transfer: %v %v", ok, err)
-	}
-	ph = pm.BatchPhases
-	if ph.GatherSeconds <= 0 || ph.WritebackSeconds <= 0 {
-		t.Fatalf("transfer phase split degenerate: %+v", ph)
-	}
-	if ph.ApplySeconds != 0 {
-		t.Fatalf("coordinateAll charged apply cycles %g, want 0 (host-applied)", ph.ApplySeconds)
 	}
 }
