@@ -56,9 +56,9 @@ serve:
 # (no artifact written).
 serve-smoke:
 	$(GO) run ./cmd/pimstm-bench -experiment serve \
-		-serve-dpus 2 -serve-algs norec -serve-skews 0,1.2 \
-		-serve-rates 150000 -serve-ops 300 -serve-keys 128 \
-		-serve-batch 32 -serve-out ""
+		-set dpus=2 -set stm=norec -set zipf=0,1.2 \
+		-set rate=150000 -set ops=300 -set keys=128 \
+		-set batch=32 -out ""
 
 # Regenerate the machine-readable skew-adaptive placement sweep.
 rebalance:
@@ -71,10 +71,10 @@ rebalance:
 rebalance-smoke:
 	$(GO) run ./cmd/bench-diff -require-schema 2 BENCH_rebalance.json
 	$(GO) run ./cmd/pimstm-bench -experiment rebalance \
-		-rebal-dpus 4 -rebal-skews 1.2 -rebal-reads 99 \
-		-rebal-cells uniform \
-		-rebal-rate 1200000 -rebal-ops 7680 -rebal-keys 2560 \
-		-rebal-batch 768 -rebal-out ""
+		-set dpus=4 -set zipf=1.2 -set reads=99 \
+		-set cells=uniform \
+		-set rate=1200000 -set ops=7680 -set keys=2560 \
+		-set batch=768 -out ""
 
 # Short-mode split-key serving smoke so the split policy can't rot in
 # CI: the hot write-heavy counter cell (the smallest ablation cell that
@@ -82,9 +82,9 @@ rebalance-smoke:
 # reconciliation invariant across placement × scheduler × Sample.
 splitserve-smoke:
 	$(GO) run ./cmd/pimstm-bench -experiment rebalance \
-		-rebal-dpus 4 -rebal-cells hot -rebal-policies migrate,split \
-		-rebal-rate 1200000 -rebal-ops 7680 -rebal-keys 2560 \
-		-rebal-batch 768 -rebal-out ""
+		-set dpus=4 -set cells=hot -set policy=migrate,split \
+		-set rate=1200000 -set ops=7680 -set keys=2560 \
+		-set batch=768 -out ""
 	$(GO) test ./internal/host/ -run TestDifferentialSplitReconcile -count=1
 
 # Regenerate the machine-readable multi-key transaction serving sweep.
@@ -99,19 +99,19 @@ txnserve:
 txnserve-smoke:
 	$(GO) run ./cmd/bench-diff -require-schema 3 BENCH_txnserve.json
 	$(GO) run ./cmd/pimstm-bench -experiment txnserve \
-		-txn-dpus 2,4 -txn-algs norec -txn-sizes 1,2 \
-		-txn-cross 0,0.5,1 -txn-skews 1.2 -txn-txns 200 \
-		-txn-keys 128 -txn-batch 32 -txn-scheds fifo -txn-out ""
+		-set dpus=2,4 -set stm=norec -set txn=1,2 \
+		-set cross=0,0.5,1 -set zipf=1.2 -set txns=200 \
+		-set keys=128 -set batch=32 -set sched=fifo -out ""
 
 # Short-mode scheduler-comparison sweep so the batch-scheduler axis
 # can't rot in CI: one mixed-fraction cell under all three schedulers,
 # no artifact written.
 schedserve-smoke:
 	$(GO) run ./cmd/pimstm-bench -experiment txnserve \
-		-txn-dpus 4 -txn-algs norec -txn-sizes 2 \
-		-txn-cross 0.5 -txn-skews 1.2 -txn-txns 200 \
-		-txn-keys 128 -txn-batch 32 \
-		-txn-scheds fifo,lane,adaptive -txn-out ""
+		-set dpus=4 -set stm=norec -set txn=2 \
+		-set cross=0.5 -set zipf=1.2 -set txns=200 \
+		-set keys=128 -set batch=32 \
+		-set sched=fifo,lane,adaptive -out ""
 
 # Regenerate the paper-scale sampled-fleet serving sweep (64 → 2500
 # DPUs, BENCH_scale.json).
@@ -119,13 +119,13 @@ scale:
 	$(GO) run ./cmd/pimstm-bench -experiment scale
 
 # Short-mode scale invocation so sampled-fleet execution can't rot in
-# CI: the small end of the fleet sweep, tight wall budget enforced as a
-# hard failure, no artifact written. The bench-diff schema gate fails
+# CI: the small end of the fleet sweep under a tight wall budget (a
+# sweep over budget always fails), no artifact written. The bench-diff schema gate fails
 # the target when the committed artifact lags a schema bump.
 scale-smoke:
 	$(GO) run ./cmd/bench-diff -require-schema 3 BENCH_scale.json
 	$(GO) run ./cmd/pimstm-bench -experiment scale \
-		-scale-dpus 64,256 -scale-budget-s 60 -scale-strict-budget -scale-out ""
+		-set dpus=64,256 -set budget_s=60 -out ""
 
 # Regenerate the application-workload scenario matrix
 # (BENCH_apps.json).
@@ -139,6 +139,6 @@ apps:
 apps-smoke:
 	$(GO) run ./cmd/bench-diff -require-schema 1 BENCH_apps.json
 	$(GO) run ./cmd/pimstm-bench -experiment apps \
-		-apps-txns 200 -apps-min-cells 1 -apps-out ""
+		-set txns=200 -set min_cells=1 -out ""
 
 ci: fmt vet build race pimbench-test serve-smoke rebalance-smoke splitserve-smoke txnserve-smoke schedserve-smoke scale-smoke apps-smoke

@@ -1,123 +1,89 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
 
-	"pimstm/internal/core"
 	"pimstm/internal/host"
 	"pimstm/internal/workload"
 )
 
-// The apps experiment is the application-workload scenario matrix:
-// instead of hand-enumerated nested sweeps, it declares the axes
-// (workload × fleet × skew × txn shape × cross fraction × scheduler ×
-// placement policy × STM algorithm), the exclusion predicates that
-// carve out meaningless cells, and lets workload.Matrix expand a
-// pairwise-covering cell set. Every cell serves a deterministic
-// application trace (KV, TPC-C-style NewOrder, RUBiS-style Auction)
-// through the full serving stack and then proves the workload's
-// conservation invariant against the served store — a benchmark run
-// that silently corrupts state fails loudly instead of publishing
-// numbers.
-type appsOptions struct {
-	// Txns is the trace length per cell.
-	Txns int
-	// Rate is the open-loop arrival rate in transactions per modeled
-	// second.
-	Rate float64
-	// Keyspace is the KV cells' key count (application cells size their
-	// own key layouts).
-	Keyspace int
-	// ReadPct of the KV traffic is Gets.
-	ReadPct int
-	// MaxBatch and MaxDelaySeconds tune the batcher.
-	MaxBatch        int
-	MaxDelaySeconds float64
-	// Tasklets is the intra-DPU parallelism.
-	Tasklets int
-	// MinCells pads the covering set to at least this many cells.
-	MinCells int
-	// Seed drives both the matrix expansion and every cell's traffic.
-	Seed uint64
-	// Parallelism is the host-side worker-pool setting (0 = GOMAXPROCS,
-	// N = N workers).
-	Parallelism int
-	// Out is the JSON artifact path ("" = don't write).
-	Out string
-}
-
-func (o *appsOptions) fill() {
-	if o.Txns == 0 {
-		o.Txns = 400
-	}
-	if o.Rate == 0 {
-		o.Rate = 2e5
-	}
-	if o.Keyspace == 0 {
-		o.Keyspace = 128
-	}
-	if o.ReadPct == 0 {
-		o.ReadPct = 80
-	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 48
-	}
-	if o.MaxDelaySeconds == 0 {
-		o.MaxDelaySeconds = 300e-6
-	}
-	if o.Tasklets == 0 {
-		o.Tasklets = 4
-	}
-	if o.MinCells == 0 {
-		o.MinCells = 32
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
-
-// appsMatrix declares the scenario space. The predicates encode the
-// harness's real constraints: transaction-shape and cross-DPU knobs
-// only exist on the synthetic KV generator, cross-DPU and non-static
-// placement need a fleet, and the split policy is pointless on
-// read-mostly KV traffic (the application workloads are the ones with
-// commutative hot counters).
-func appsMatrix(minCells int) workload.Matrix {
-	atLeast := func(c workload.Cell, axis string, n int) bool {
-		v, _ := strconv.Atoi(c[axis])
-		return v >= n
-	}
-	return workload.Matrix{
-		Axes: []workload.Axis{
-			{Name: "workload", Values: []string{"kv", "neworder", "auction"}},
-			{Name: "dpus", Values: []string{"1", "4", "8"}},
-			{Name: "zipf", Values: []string{"0", "1.1"}},
-			{Name: "txn", Values: []string{"1", "3"}},
-			{Name: "cross", Values: []string{"0", "0.5"}},
-			{Name: "sched", Values: []string{"fifo", "lane"}},
-			{Name: "place", Values: []string{"static", "migrate", "split"}},
-			{Name: "stm", Values: []string{"norec", "tinyetlwb"}},
-		},
-		Predicates: []workload.Predicate{
-			{Name: "txn-shaping-is-kv-only", Reject: func(c workload.Cell) bool {
-				return c["txn"] != "1" && c["workload"] != "kv"
-			}},
-			{Name: "cross-needs-multiop-multidpu-kv", Reject: func(c workload.Cell) bool {
-				return c["cross"] != "0" && (c["workload"] != "kv" || c["txn"] == "1" || !atLeast(c, "dpus", 2))
-			}},
-			{Name: "placement-needs-multidpu", Reject: func(c workload.Cell) bool {
-				return c["place"] != "static" && !atLeast(c, "dpus", 2)
-			}},
-			{Name: "split-needs-rmw-traffic", Reject: func(c workload.Cell) bool {
-				return c["place"] == "split" && c["workload"] == "kv"
-			}},
-		},
-		MinCells: minCells,
-	}
+// appsSweep is the application-workload scenario matrix: it declares
+// the axes (workload × fleet × skew × txn shape × cross fraction ×
+// scheduler × placement policy × STM algorithm) and the exclusion
+// predicates that carve out meaningless cells, and runs a seeded
+// pairwise-covering cell set padded to min_cells. Every cell serves a
+// deterministic application trace (KV, TPC-C-style NewOrder,
+// RUBiS-style Auction) through the full serving stack and then proves
+// the workload's conservation invariant against the served store — a
+// benchmark run that silently corrupts state fails loudly instead of
+// publishing numbers.
+//
+// The predicates encode the harness's real constraints: transaction-
+// shape and cross-DPU knobs only exist on the synthetic KV generator,
+// cross-DPU and non-static placement need a fleet, and the split
+// policy is pointless on read-mostly KV traffic (the application
+// workloads are the ones with commutative hot counters).
+var appsSweep = &sweep[appsScenario]{
+	name:   "apps",
+	title:  "application-workload scenario matrix",
+	schema: 1,
+	axes: []axis{
+		{"workload", "kv,neworder,auction", oneOf("kv", "neworder", "auction")},
+		{"dpus", "1,4,8", isInt},
+		{"zipf", "0,1.1", isFloat},
+		{"txn", "1,3", isInt},
+		{"cross", "0,0.5", isFloat},
+		{"sched", "fifo,lane", isSched},
+		{"place", "static,migrate,split", isPolicy},
+		{"stm", "norec,tinyetlwb", isAlg},
+	},
+	knobs: []axis{
+		{"txns", "400", isInt},
+		{"min_cells", "32", isInt},
+	},
+	fixed: workload.Cell{
+		"rate": "2e5", "keys": "128", "reads": "80",
+		"batch": "48", "delay_s": "300e-6", "tasklets": "4",
+		"window": "3", "seed": "1",
+	},
+	predicates: []predicate{
+		{"txn-shaping-is-kv-only", func(c, _ workload.Cell) bool {
+			return c["txn"] != "1" && c["workload"] != "kv"
+		}},
+		{"cross-needs-multiop-multidpu-kv", func(c, _ workload.Cell) bool {
+			return c["cross"] != "0" && (c["workload"] != "kv" || c["txn"] == "1" || intAt(c, "dpus") < 2)
+		}},
+		{"placement-needs-multidpu", func(c, _ workload.Cell) bool {
+			return c["place"] != "static" && intAt(c, "dpus") < 2
+		}},
+		{"split-needs-rmw-traffic", func(c, _ workload.Cell) bool {
+			return c["place"] == "split" && c["workload"] == "kv"
+		}},
+	},
+	cover: true,
+	cell:  runAppsCell,
+	columns: fmt.Sprintf("%-9s %5s %5s %4s %6s %-5s %-8s %-10s %7s %7s %12s %12s %5s",
+		"workload", "#DPUs", "zipf", "txn", "cross", "sched", "place", "stm", "abort", "guard", "ops/s", "p99 ms", "inv"),
+	row: func(sc appsScenario) string {
+		return fmt.Sprintf("%-9s %5s %5s %4s %6s %-5s %-8s %-10s %7d %7d %12.0f %12.3f %5s",
+			sc.Axes["workload"], sc.Axes["dpus"], sc.Axes["zipf"], sc.Axes["txn"], sc.Axes["cross"],
+			sc.Axes["sched"], sc.Axes["place"], sc.Axes["stm"],
+			sc.Aborted, sc.GuardAborts, sc.OpsPerSecond, sc.P99Seconds*1e3, sc.Invariant)
+	},
+	report: func(res sweepResult[appsScenario]) (any, error) {
+		cov := res.cov
+		return appsReport{
+			SchemaVersion: 1,
+			Experiment:    "apps",
+			Coverage: appsCoverage{
+				RawCells: cov.RawCells, ValidCells: cov.ValidCells, Selected: cov.Selected,
+				Excluded:   cov.Excluded,
+				PairsTotal: cov.PairsTotal, PairsCovered: cov.PairsCovered,
+				AxisValues: cov.AxisValues,
+			},
+			Scenarios: res.rows,
+		}, nil
+	},
 }
 
 // appsScenario is one machine-readable cell of BENCH_apps.json.
@@ -168,40 +134,21 @@ type appsReport struct {
 
 // buildAppsWorkload maps a cell to its workload instance. The zipf
 // axis steers key popularity in all three (item popularity for the
-// application workloads); txn and cross only shape KV.
-func buildAppsWorkload(c workload.Cell, opt appsOptions) (workload.Workload, error) {
-	zipf, err := strconv.ParseFloat(c["zipf"], 64)
-	if err != nil {
-		return nil, fmt.Errorf("bad zipf %q: %w", c["zipf"], err)
-	}
+// application workloads); txn and cross only shape KV, whose traffic is
+// the cell's own.
+func buildAppsWorkload(c workload.Cell, traffic host.TrafficConfig) (workload.Workload, error) {
 	switch c["workload"] {
 	case "kv":
-		txnSize, err := strconv.Atoi(c["txn"])
-		if err != nil {
-			return nil, fmt.Errorf("bad txn %q: %w", c["txn"], err)
-		}
-		cross, err := strconv.ParseFloat(c["cross"], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad cross %q: %w", c["cross"], err)
-		}
-		dpus, err := strconv.Atoi(c["dpus"])
-		if err != nil {
-			return nil, fmt.Errorf("bad dpus %q: %w", c["dpus"], err)
-		}
-		return workload.NewKV(host.TrafficConfig{
-			Ops: opt.Txns, Rate: opt.Rate, ReadPct: opt.ReadPct,
-			Keyspace: opt.Keyspace, ZipfS: zipf, Seed: opt.Seed,
-			TxnSize: txnSize, CrossDPU: cross, DPUs: dpus,
-		}), nil
+		return workload.NewKV(traffic), nil
 	case "neworder":
 		return workload.NewNewOrder(workload.NewOrderConfig{
-			Txns: opt.Txns, Rate: opt.Rate, Seed: opt.Seed, ItemZipfS: zipf,
+			Txns: traffic.Ops, Rate: traffic.Rate, Seed: traffic.Seed, ItemZipfS: traffic.ZipfS,
 		})
 	case "auction":
 		// Funds sized so eager bidders run dry mid-trace: the guard
 		// abort path must show up in the artifact, not just in tests.
 		return workload.NewAuction(workload.AuctionConfig{
-			Txns: opt.Txns, Rate: opt.Rate, Seed: opt.Seed, ItemZipfS: zipf,
+			Txns: traffic.Ops, Rate: traffic.Rate, Seed: traffic.Seed, ItemZipfS: traffic.ZipfS,
 			InitialFunds: 40, BidFrac: 0.4,
 		})
 	default:
@@ -210,52 +157,24 @@ func buildAppsWorkload(c workload.Cell, opt appsOptions) (workload.Workload, err
 }
 
 // runAppsCell serves one cell and proves its invariant.
-func runAppsCell(m workload.Matrix, c workload.Cell, opt appsOptions) (appsScenario, error) {
-	w, err := buildAppsWorkload(c, opt)
+func runAppsCell(m workload.Matrix, c workload.Cell, par int) (appsScenario, error) {
+	cfg, err := serveConfig(c, par)
 	if err != nil {
 		return appsScenario{}, err
 	}
-	dpus, err := strconv.Atoi(c["dpus"])
-	if err != nil {
-		return appsScenario{}, fmt.Errorf("bad dpus %q: %w", c["dpus"], err)
-	}
-	alg, err := core.ParseAlgorithm(c["stm"])
+	cfg.Traffic.Ops, cfg.Traffic.DPUs = intAt(c, "txns"), cfg.Map.DPUs
+	w, err := buildAppsWorkload(c, cfg.Traffic)
 	if err != nil {
 		return appsScenario{}, err
 	}
-	factory, err := newServeScheduler(c["sched"], opt.MaxBatch, opt.MaxDelaySeconds)
-	if err != nil {
+	if cfg.Trace, err = w.Generate(); err != nil {
 		return appsScenario{}, err
 	}
-	policy := c["place"]
-	if policy == "static" {
-		policy = "none"
-	}
-	placement, reb, err := policyRebalance(policy, dpus, rebalanceOptions{WindowBatches: 3})
-	if err != nil {
-		return appsScenario{}, err
-	}
-	trace, err := w.Generate()
-	if err != nil {
-		return appsScenario{}, err
-	}
-	res, err := host.Serve(host.ServeConfig{
-		Map: host.PartitionedMapConfig{
-			DPUs: dpus, Tasklets: opt.Tasklets,
-			STM: core.Config{Algorithm: alg}, Mode: host.Pipelined,
-			Placement:       placement,
-			HostParallelism: opt.Parallelism,
-		},
-		Submit: host.SubmitterConfig{
-			MaxBatch:        opt.MaxBatch,
-			MaxDelaySeconds: opt.MaxDelaySeconds,
-		},
-		Rebalance:   reb,
-		Scheduler:   factory,
-		Trace:       trace,
-		Preload:     w.Preload(),
-		KeepResults: true,
-	})
+	// The trace replaces generated traffic, and the store sizes itself
+	// from the workload's preload.
+	cfg.Traffic = host.TrafficConfig{}
+	cfg.Preload, cfg.KeepResults = w.Preload(), true
+	res, err := host.Serve(cfg)
 	if err != nil {
 		return appsScenario{}, err
 	}
@@ -270,8 +189,8 @@ func runAppsCell(m workload.Matrix, c workload.Cell, opt appsOptions) (appsScena
 		return appsScenario{}, fmt.Errorf("invariant: %w", err)
 	}
 	axes := map[string]string{}
-	for k, v := range c {
-		axes[k] = v
+	for _, ax := range m.Axes {
+		axes[ax.Name] = c[ax.Name]
 	}
 	return appsScenario{
 		Cell: m.CellID(c), Axes: axes,
@@ -285,57 +204,4 @@ func runAppsCell(m workload.Matrix, c workload.Cell, opt appsOptions) (appsScena
 		SplitReconciles: res.SplitReconciles,
 		Invariant:       "ok",
 	}, nil
-}
-
-// runApps expands the matrix, serves every selected cell, renders the
-// table to w, and writes BENCH_apps.json when opt.Out is set.
-func runApps(opt appsOptions, out io.Writer) ([]appsScenario, error) {
-	opt.fill()
-	m := appsMatrix(opt.MinCells)
-	cells, cov, err := m.Expand(opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	scenarios := make([]appsScenario, 0, len(cells))
-	for _, c := range cells {
-		sc, err := runAppsCell(m, c, opt)
-		if err != nil {
-			return nil, fmt.Errorf("apps cell %s: %w", m.CellID(c), err)
-		}
-		scenarios = append(scenarios, sc)
-	}
-
-	fmt.Fprintf(out, "== apps: application-workload scenario matrix (%d of %d valid cells, %d/%d axis pairs, %d txns/cell) ==\n",
-		cov.Selected, cov.ValidCells, cov.PairsCovered, cov.PairsTotal, opt.Txns)
-	fmt.Fprintln(out, hostParHeader(opt.Parallelism))
-	fmt.Fprintf(out, "%-9s %5s %5s %4s %6s %-5s %-8s %-10s %7s %7s %12s %12s %5s\n",
-		"workload", "#DPUs", "zipf", "txn", "cross", "sched", "place", "stm", "abort", "guard", "ops/s", "p99 ms", "inv")
-	for _, sc := range scenarios {
-		fmt.Fprintf(out, "%-9s %5s %5s %4s %6s %-5s %-8s %-10s %7d %7d %12.0f %12.3f %5s\n",
-			sc.Axes["workload"], sc.Axes["dpus"], sc.Axes["zipf"], sc.Axes["txn"], sc.Axes["cross"],
-			sc.Axes["sched"], sc.Axes["place"], sc.Axes["stm"],
-			sc.Aborted, sc.GuardAborts, sc.OpsPerSecond, sc.P99Seconds*1e3, sc.Invariant)
-	}
-
-	if opt.Out != "" {
-		blob, err := json.MarshalIndent(appsReport{
-			SchemaVersion: 1,
-			Experiment:    "apps",
-			Coverage: appsCoverage{
-				RawCells: cov.RawCells, ValidCells: cov.ValidCells, Selected: cov.Selected,
-				Excluded:   cov.Excluded,
-				PairsTotal: cov.PairsTotal, PairsCovered: cov.PairsCovered,
-				AxisValues: cov.AxisValues,
-			},
-			Scenarios: scenarios,
-		}, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opt.Out, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "wrote %s (%d scenarios)\n", opt.Out, len(scenarios))
-	}
-	return scenarios, nil
 }

@@ -19,7 +19,7 @@ import (
 func TestRunApps(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_apps.json")
 	var sb strings.Builder
-	scenarios, err := runApps(appsOptions{Txns: 200, MinCells: 1, Out: out}, &sb)
+	scenarios, err := appsSweep.run([]string{"txns=200", "min_cells=1"}, 0, out, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,6 @@ func TestRunApps(t *testing.T) {
 		t.Fatalf("only %d cells ran; the pairwise cover should need more", len(scenarios))
 	}
 
-	m := appsMatrix(1)
 	seen := map[string]map[string]bool{}
 	guardAborts := 0
 	for i, sc := range scenarios {
@@ -48,10 +47,10 @@ func TestRunApps(t *testing.T) {
 			seen[axis][v] = true
 		}
 	}
-	for _, ax := range m.Axes {
-		for _, v := range ax.Values {
-			if !seen[ax.Name][v] {
-				t.Fatalf("axis %s=%s never executed", ax.Name, v)
+	for _, ax := range appsSweep.axes {
+		for _, v := range strings.Split(ax.values, ",") {
+			if !seen[ax.name][v] {
+				t.Fatalf("axis %s=%s never executed", ax.name, v)
 			}
 		}
 	}
@@ -89,7 +88,7 @@ func TestRunApps(t *testing.T) {
 func TestRunAppsDeterministic(t *testing.T) {
 	run := func(path string) []byte {
 		var sb strings.Builder
-		if _, err := runApps(appsOptions{Txns: 150, MinCells: 1, Out: path}, &sb); err != nil {
+		if _, err := appsSweep.run([]string{"txns=150", "min_cells=1"}, 0, path, &sb); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := os.ReadFile(path)
@@ -113,7 +112,7 @@ func TestAppsArtifactPinned(t *testing.T) {
 		t.Skip("full default sweep")
 	}
 	out := filepath.Join(t.TempDir(), "apps.json")
-	_, err := runApps(appsOptions{Out: out}, &strings.Builder{})
+	_, err := appsSweep.run(nil, 0, out, &strings.Builder{})
 	if err != nil {
 		t.Fatal(err)
 	}

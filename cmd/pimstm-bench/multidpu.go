@@ -1,56 +1,38 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"strings"
 
 	"pimstm/internal/core"
 	"pimstm/internal/host"
+	"pimstm/internal/workload"
 )
 
-// multiDPUOptions parameterize the multi-DPU serving sweep: fleet size
-// × STM algorithm × read/write mix, every cell run through the
-// host.Fleet pipeline on the partitioned KV store.
-type multiDPUOptions struct {
-	// Fleets lists the DPU counts to sweep (acceptance floor: ≥ {1, 8, 64}).
-	Fleets []int
-	// Algs are the intra-DPU STM algorithms to compare.
-	Algs []core.Algorithm
-	// ReadPcts lists the read percentages of the mixed batches.
-	ReadPcts []int
-	// Batches and OpsPerBatch shape the streamed serving load.
-	Batches, OpsPerBatch int
-	// Tasklets is the intra-DPU parallelism.
-	Tasklets int
-	// Parallelism is the host-side worker-pool setting (0 = GOMAXPROCS,
-	// N = N workers).
-	Parallelism int
-	// Out is the JSON artifact path ("" = don't write).
-	Out string
-}
-
-func (o *multiDPUOptions) fill() {
-	if len(o.Fleets) == 0 {
-		o.Fleets = []int{1, 8, 64}
-	}
-	if len(o.Algs) == 0 {
-		o.Algs = []core.Algorithm{core.NOrec, core.TinyETLWB, core.VRETLWB}
-	}
-	if len(o.ReadPcts) == 0 {
-		o.ReadPcts = []int{90, 50}
-	}
-	if o.Batches == 0 {
-		o.Batches = 6
-	}
-	if o.OpsPerBatch == 0 {
-		o.OpsPerBatch = 256
-	}
-	if o.Tasklets == 0 {
-		o.Tasklets = 11
-	}
+// multiDPUSweep streams a partitioned-KV serving load through the
+// host.Fleet pipeline: fleet size × STM algorithm × read/write mix, each
+// cell reporting pipelined against lockstep modeled wall-clock.
+var multiDPUSweep = &sweep[multiDPUScenario]{
+	name:   "multidpu",
+	title:  "fleet serving sweep, pipelined vs lockstep",
+	schema: 1,
+	axes: []axis{
+		{"dpus", "1,8,64", isInt},
+		{"stm", "norec,tinyetlwb,vretlwb", isAlg},
+		{"reads", "90,50", isInt},
+	},
+	knobs: []axis{
+		{"batches", "6", isInt},
+		{"ops", "256", isInt},
+		{"tasklets", "11", isInt},
+	},
+	cell: runMultiDPUCell,
+	columns: fmt.Sprintf("%6s %-12s %6s %14s %14s %8s %14s",
+		"#DPUs", "STM", "reads", "pipelined ms", "lockstep ms", "gain", "ops/s"),
+	row: func(sc multiDPUScenario) string {
+		return fmt.Sprintf("%6d %-12s %5d%% %14.3f %14.3f %7.2fx %14.0f",
+			sc.DPUs, sc.Algorithm, sc.ReadPct,
+			sc.PipelinedSeconds*1e3, sc.LockstepSeconds*1e3, sc.PipelineGain, sc.OpsPerSecond)
+	},
 }
 
 // multiDPUScenario is one machine-readable cell of BENCH_multidpu.json.
@@ -69,23 +51,22 @@ type multiDPUScenario struct {
 	OpsPerSecond     float64 `json:"ops_per_s"`
 }
 
-// multiDPUReport is the top-level JSON artifact.
-type multiDPUReport struct {
-	SchemaVersion int                `json:"schema_version"`
-	Experiment    string             `json:"experiment"`
-	Scenarios     []multiDPUScenario `json:"scenarios"`
-}
-
 // runMultiDPUCell streams the serving workload of one sweep cell
 // through a pipelined PartitionedMap and reports its modeled timing
 // (the fleet tracks the lockstep-equivalent cost alongside, so one run
 // yields both sides of the comparison).
-func runMultiDPUCell(dpus int, alg core.Algorithm, readPct int, opt multiDPUOptions) (multiDPUScenario, error) {
-	keyspace := 2 * opt.OpsPerBatch
+func runMultiDPUCell(_ workload.Matrix, c workload.Cell, par int) (multiDPUScenario, error) {
+	dpus, readPct := intAt(c, "dpus"), intAt(c, "reads")
+	batches, opsPerBatch := intAt(c, "batches"), intAt(c, "ops")
+	alg, err := core.ParseAlgorithm(c["stm"])
+	if err != nil {
+		return multiDPUScenario{}, err
+	}
+	keyspace := 2 * opsPerBatch
 	pm, err := host.NewPartitionedMap(host.PartitionedMapConfig{
-		DPUs: dpus, Buckets: 256, Capacity: 2 * keyspace, Tasklets: opt.Tasklets,
+		DPUs: dpus, Buckets: 256, Capacity: 2 * keyspace, Tasklets: intAt(c, "tasklets"),
 		STM: core.Config{Algorithm: alg}, Mode: host.Pipelined,
-		HostParallelism: opt.Parallelism,
+		HostParallelism: par,
 	})
 	if err != nil {
 		return multiDPUScenario{}, err
@@ -106,9 +87,9 @@ func runMultiDPUCell(dpus int, alg core.Algorithm, readPct int, opt multiDPUOpti
 	rng := host.Rand64(uint64(dpus)*1e9 + uint64(readPct)*31 + 1)
 	next := rng.Next
 	total := 0
-	for b := 0; b < opt.Batches; b++ {
+	for b := 0; b < batches; b++ {
 		ops = ops[:0]
-		for i := 0; i < opt.OpsPerBatch; i++ {
+		for i := 0; i < opsPerBatch; i++ {
 			key := next() % uint64(keyspace)
 			if int(next()%100) < readPct {
 				ops = append(ops, host.Op{Kind: host.OpGet, Key: key})
@@ -139,8 +120,8 @@ func runMultiDPUCell(dpus int, alg core.Algorithm, readPct int, opt multiDPUOpti
 		DPUs:             dpus,
 		Algorithm:        alg.String(),
 		ReadPct:          readPct,
-		Batches:          opt.Batches,
-		OpsPerBatch:      opt.OpsPerBatch,
+		Batches:          batches,
+		OpsPerBatch:      opsPerBatch,
 		PipelinedSeconds: wall,
 		LockstepSeconds:  lockstep,
 		PipelineGain:     lockstep / wall,
@@ -149,62 +130,4 @@ func runMultiDPUCell(dpus int, alg core.Algorithm, readPct int, opt multiDPUOpti
 		QuiescentSeconds: wall - launch,
 		OpsPerSecond:     float64(total) / wall,
 	}, nil
-}
-
-// runMultiDPU sweeps fleet size × algorithm × read mix, renders the
-// table to w, and writes BENCH_multidpu.json when opt.Out is set.
-func runMultiDPU(opt multiDPUOptions, w io.Writer) ([]multiDPUScenario, error) {
-	opt.fill()
-	var scenarios []multiDPUScenario
-	for _, n := range opt.Fleets {
-		for _, alg := range opt.Algs {
-			for _, pct := range opt.ReadPcts {
-				sc, err := runMultiDPUCell(n, alg, pct, opt)
-				if err != nil {
-					return nil, fmt.Errorf("multidpu %d DPUs %v %d%% reads: %w", n, alg, pct, err)
-				}
-				scenarios = append(scenarios, sc)
-			}
-		}
-	}
-
-	fmt.Fprintf(w, "== multidpu: fleet serving sweep (%d batches × %d ops, pipelined vs lockstep) ==\n",
-		opt.Batches, opt.OpsPerBatch)
-	fmt.Fprintln(w, hostParHeader(opt.Parallelism))
-	fmt.Fprintf(w, "%6s %-12s %6s %14s %14s %8s %14s\n",
-		"#DPUs", "STM", "reads", "pipelined ms", "lockstep ms", "gain", "ops/s")
-	for _, sc := range scenarios {
-		fmt.Fprintf(w, "%6d %-12s %5d%% %14.3f %14.3f %7.2fx %14.0f\n",
-			sc.DPUs, sc.Algorithm, sc.ReadPct,
-			sc.PipelinedSeconds*1e3, sc.LockstepSeconds*1e3, sc.PipelineGain, sc.OpsPerSecond)
-	}
-
-	if opt.Out != "" {
-		blob, err := json.MarshalIndent(multiDPUReport{
-			SchemaVersion: 1,
-			Experiment:    "multidpu",
-			Scenarios:     scenarios,
-		}, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opt.Out, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s (%d scenarios)\n", opt.Out, len(scenarios))
-	}
-	return scenarios, nil
-}
-
-// parseAlgorithms resolves a comma-separated algorithm list.
-func parseAlgorithms(s string) ([]core.Algorithm, error) {
-	var out []core.Algorithm
-	for _, name := range strings.Split(s, ",") {
-		a, err := core.ParseAlgorithm(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

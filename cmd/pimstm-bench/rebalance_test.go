@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,16 +36,10 @@ func findRow(t *testing.T, scenarios []rebalanceScenario, hotFrac float64, zipf 
 func TestRunRebalance(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_rebalance.json")
 	var sb strings.Builder
-	scenarios, err := runRebalance(rebalanceOptions{
-		Fleets:   []int{4},
-		Skews:    []float64{0, 1.2},
-		ReadPcts: []int{99},
-		Rate:     1.2e6,
-		Ops:      7680,
-		Keyspace: 2560,
-		MaxBatch: 768,
-		Out:      out,
-	}, &sb)
+	scenarios, err := rebalanceSweep.run([]string{
+		"dpus=4", "zipf=0,1.2", "reads=99",
+		"rate=1.2e6", "ops=7680", "keys=2560", "batch=768",
+	}, 0, out, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +101,7 @@ func TestRunRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report rebalanceReport
+	var report sweepReport[rebalanceScenario]
 	if err := json.Unmarshal(blob, &report); err != nil {
 		t.Fatal(err)
 	}
@@ -116,24 +111,20 @@ func TestRunRebalance(t *testing.T) {
 	}
 }
 
-// TestRunRebalanceCellSelectors pins the -rebal-cells knob: "hot" runs
-// only the counter cell, "uniform" only the grid, and an unknown
-// selector errors.
+// TestRunRebalanceCellSelectors pins the cells axis: "hot" runs only
+// the counter cell, "uniform" only the grid, and an unknown cell or
+// policy errors.
 func TestRunRebalanceCellSelectors(t *testing.T) {
 	var sb strings.Builder
-	mini := rebalanceOptions{
-		Fleets:   []int{4},
-		Skews:    []float64{0},
-		ReadPcts: []int{99},
-		Policies: []string{"none"},
-		Rate:     1.2e6,
-		Ops:      1920,
-		Keyspace: 2560,
-		MaxBatch: 768,
+	mini := []string{
+		"dpus=4", "zipf=0", "reads=99", "policy=none",
+		"rate=1.2e6", "ops=1920", "keys=2560", "batch=768",
+	}
+	run := func(extra ...string) ([]rebalanceScenario, error) {
+		return rebalanceSweep.run(append(slices.Clone(mini), extra...), 0, "", &sb)
 	}
 
-	mini.Cells = "hot"
-	scenarios, err := runRebalance(mini, &sb)
+	scenarios, err := run("cells=hot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +132,7 @@ func TestRunRebalanceCellSelectors(t *testing.T) {
 		t.Fatalf("hot selector: %+v", scenarios)
 	}
 
-	mini.Cells = "uniform"
-	scenarios, err = runRebalance(mini, &sb)
+	scenarios, err = run("cells=uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +140,11 @@ func TestRunRebalanceCellSelectors(t *testing.T) {
 		t.Fatalf("uniform selector: %+v", scenarios)
 	}
 
-	mini.Cells = "bogus"
-	if _, err := runRebalance(mini, &sb); err == nil {
+	if _, err := run("cells=bogus"); err == nil {
 		t.Fatal("bogus cell selector accepted")
 	}
 
-	mini.Cells = "uniform"
-	mini.Policies = []string{"bogus"}
-	if _, err := runRebalance(mini, &sb); err == nil {
+	if _, err := run("cells=uniform", "policy=bogus"); err == nil {
 		t.Fatal("bogus policy accepted")
 	}
 }

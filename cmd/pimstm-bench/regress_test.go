@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,15 +33,14 @@ func repoArtifact(t *testing.T, name string) string {
 	return string(blob)
 }
 
-// TestServeArtifactPinned: the default serve sweep — the options
-// mirror the pimstm-bench flag defaults — reproduces the committed
-// BENCH_serve.json exactly under the default FIFOScheduler.
+// TestServeArtifactPinned: the default serve sweep reproduces the
+// committed BENCH_serve.json exactly under the default FIFOScheduler.
 func TestServeArtifactPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full default sweep")
 	}
 	out := filepath.Join(t.TempDir(), "serve.json")
-	_, err := runServe(serveOptions{ReadPct: 90, Out: out}, &strings.Builder{})
+	_, err := serveSweep.run(nil, 0, out, &strings.Builder{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTxnServeArtifactPinned(t *testing.T) {
 		t.Skip("full default sweep")
 	}
 	out := filepath.Join(t.TempDir(), "txnserve.json")
-	_, err := runTxnServe(txnServeOptions{Out: out}, &strings.Builder{})
+	_, err := txnServeSweep.run(nil, 0, out, &strings.Builder{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +71,61 @@ func TestTxnServeArtifactPinned(t *testing.T) {
 	}
 	if want := repoArtifact(t, "BENCH_txnserve.json"); string(got) != want {
 		t.Fatal("regenerated BENCH_txnserve.json differs from the committed artifact: the txn serving path changed (regenerate with `make txnserve` if intentional)")
+	}
+}
+
+// TestMultiDPUArtifactPinned: the default multidpu sweep reproduces
+// the committed BENCH_multidpu.json exactly.
+func TestMultiDPUArtifactPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full default sweep")
+	}
+	out := filepath.Join(t.TempDir(), "multidpu.json")
+	if _, err := multiDPUSweep.run(nil, 0, out, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := repoArtifact(t, "BENCH_multidpu.json"); string(got) != want {
+		t.Fatal("regenerated BENCH_multidpu.json differs from the committed artifact: the fleet pipeline or its cost model changed (regenerate with `make multidpu` if intentional)")
+	}
+}
+
+// TestScaleArtifactPinned: the default scale sweep reproduces every
+// field of the committed BENCH_scale.json except the machine-dependent
+// ones — the real host wall clock, the worker count and GOMAXPROCS it
+// ran on, and whether this machine stayed inside the wall budget.
+func TestScaleArtifactPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full default sweep")
+	}
+	out := filepath.Join(t.TempDir(), "scale.json")
+	if _, err := scaleSweep.run(nil, 0, out, &strings.Builder{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modeled := func(blob []byte) map[string]any {
+		var rep map[string]any
+		if err := json.Unmarshal(blob, &rep); err != nil {
+			t.Fatal(err)
+		}
+		delete(rep, "gomaxprocs")
+		delete(rep, "within_budget")
+		for _, sc := range rep["scenarios"].([]any) {
+			row := sc.(map[string]any)
+			delete(row, "host_wall_s")
+			delete(row, "host_ops_per_s_real")
+			delete(row, "host_workers")
+		}
+		return rep
+	}
+	if g, w := modeled(got), modeled([]byte(repoArtifact(t, "BENCH_scale.json"))); !reflect.DeepEqual(g, w) {
+		t.Fatalf("regenerated BENCH_scale.json differs from the committed artifact in a modeled field (regenerate with `make scale` if intentional):\ngot  %v\nwant %v", g, w)
 	}
 }
 

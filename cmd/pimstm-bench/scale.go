@@ -1,96 +1,67 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
-	"time"
 
-	"pimstm/internal/core"
 	"pimstm/internal/host"
+	"pimstm/internal/workload"
 )
 
-// scaleOptions parameterize the paper-scale serving sweep: fleet sizes
-// up to the paper's 2500-DPU system served in sampled-fleet mode, where
-// only Sample representative DPUs are simulated and the rest are
-// charged from the calibrated per-round cost model. The workload weak-
-// scales with the fleet (keys, arrival rate and trace length all grow
-// per DPU) so every point stresses the same per-DPU load, and the whole
-// sweep must finish inside a pinned real-time budget — the point of
-// sampling is that fleet size stops being the simulation bottleneck.
-type scaleOptions struct {
-	// Fleets lists the DPU counts to sweep (the paper's full system is
-	// 2500).
-	Fleets []int
-	// Sample is how many representative DPUs to simulate per point.
-	Sample int
-	// Skews are Zipf key-popularity exponents (0 = uniform).
-	Skews []float64
-	// ReadPct of the traffic is Gets.
-	ReadPct int
-	// KeysPerDPU, OpsPerDPU and RatePerDPU scale the keyspace, trace
-	// length and open-loop arrival rate with the fleet.
-	KeysPerDPU, OpsPerDPU int
-	RatePerDPU            float64
-	// MaxBatch is the submitter's batch bound in ops — large, so the
-	// fleet amortizes its round handshakes over paper-scale batches.
-	MaxBatch        int
-	MaxDelaySeconds float64
-	// Tasklets is the intra-DPU parallelism; Seed the traffic seed.
-	Tasklets int
-	Seed     uint64
-	// WallBudgetSeconds is the pinned real-time budget for the whole
-	// sweep; the artifact records whether the run stayed inside it.
-	WallBudgetSeconds float64
-	// StrictBudget fails the sweep (non-zero exit) when the real wall
-	// clock blows the pinned budget, instead of printing a warning.
-	StrictBudget bool
-	// Parallelism is the host-side worker-pool setting of the measured
-	// run (0 = GOMAXPROCS).
-	Parallelism int
-	// Out is the JSON artifact path ("" = don't write).
-	Out string
-}
-
-func (o *scaleOptions) fill() {
-	if len(o.Fleets) == 0 {
-		o.Fleets = []int{64, 256, 1024, 2500}
-	}
-	if o.Sample == 0 {
-		o.Sample = 8
-	}
-	if len(o.Skews) == 0 {
-		o.Skews = []float64{0, 1.2}
-	}
-	if o.ReadPct == 0 {
-		o.ReadPct = 90
-	}
-	if o.KeysPerDPU == 0 {
-		o.KeysPerDPU = 32
-	}
-	if o.OpsPerDPU == 0 {
-		o.OpsPerDPU = 16
-	}
-	if o.RatePerDPU == 0 {
-		o.RatePerDPU = 4e3
-	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 4096
-	}
-	if o.MaxDelaySeconds == 0 {
-		o.MaxDelaySeconds = 500e-6
-	}
-	if o.Tasklets == 0 {
-		o.Tasklets = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.WallBudgetSeconds == 0 {
-		o.WallBudgetSeconds = 120
-	}
+// scaleSweep serves the paper-sized fleet: fleet sizes up to the
+// paper's 2500-DPU system served in sampled-fleet mode, where only
+// sample representative DPUs are simulated and the rest are charged
+// from the calibrated per-round cost model. The workload weak-scales
+// with the fleet (keys, arrival rate and trace length all grow per DPU)
+// so every point stresses the same per-DPU load, and the whole sweep
+// must finish inside a pinned real-time budget — the point of sampling
+// is that fleet size stops being the simulation bottleneck. A sweep
+// over budget fails after writing its artifact.
+var scaleSweep = &sweep[scaleScenario]{
+	name:   "scale",
+	title:  "paper-scale sampled-fleet serving sweep",
+	schema: 3,
+	axes: []axis{
+		{"dpus", "64,256,1024,2500", isInt},
+		{"zipf", "0,1.2", isFloat},
+	},
+	knobs: []axis{
+		{"budget_s", "120", isFloat},
+	},
+	fixed: workload.Cell{
+		"sample": "8", "reads": "90",
+		"keys_per_dpu": "32", "ops_per_dpu": "16", "rate_per_dpu": "4e3",
+		// A large batch bound, so the fleet amortizes its round
+		// handshakes over paper-scale batches.
+		"batch": "4096", "delay_s": "500e-6",
+		"stm": "norec", "tasklets": "8", "seed": "1",
+	},
+	cell: runScaleCell,
+	columns: fmt.Sprintf("%6s %6s %5s %9s %9s %14s %12s %12s %12s",
+		"#DPUs", "#sim", "zipf", "keys", "ops", "modeled ops/s", "p50 ms", "p99 ms", "host ms"),
+	row: func(sc scaleScenario) string {
+		return fmt.Sprintf("%6d %6d %5.2f %9d %9d %14.0f %12.3f %12.3f %12.3f",
+			sc.DPUs, sc.SimulatedDPUs, sc.ZipfS, sc.Keyspace, sc.Ops,
+			sc.OpsPerSecond, sc.P50Seconds*1e3, sc.P99Seconds*1e3,
+			sc.HostWallSeconds*1e3)
+	},
+	report: func(res sweepResult[scaleScenario]) (any, error) {
+		budget := floatAt(res.settings, "budget_s")
+		rep := scaleReport{
+			SchemaVersion:     3,
+			Experiment:        "scale",
+			SampleDPUs:        intAt(res.settings, "sample"),
+			GOMAXPROCS:        runtime.GOMAXPROCS(0),
+			HostParallelism:   res.par,
+			WallBudgetSeconds: budget,
+			WithinBudget:      res.elapsed <= budget,
+			Scenarios:         res.rows,
+		}
+		if !rep.WithinBudget {
+			return rep, fmt.Errorf("sweep took %.1fs, over its pinned %.0fs wall-clock budget", res.elapsed, budget)
+		}
+		return rep, nil
+	},
 }
 
 // scaleScenario is one machine-readable cell of BENCH_scale.json.
@@ -144,34 +115,22 @@ const scaleCellReps = 3
 // runScaleCell serves one fleet-size point in sampled-fleet mode,
 // scaleCellReps times, and records the repetition with the lowest
 // host-side wall clock.
-func runScaleCell(dpus int, skew float64, opt scaleOptions) (scaleScenario, error) {
-	keys := opt.KeysPerDPU * dpus
-	rate := opt.RatePerDPU * float64(dpus)
-	ops := opt.OpsPerDPU * dpus
-	serve := func() (host.ServeResult, error) {
-		return host.Serve(host.ServeConfig{
-			Map: host.PartitionedMapConfig{
-				DPUs: dpus, Tasklets: opt.Tasklets, Sample: opt.Sample,
-				Buckets: 64, Capacity: 8 * opt.KeysPerDPU,
-				STM: core.Config{Algorithm: core.NOrec}, Mode: host.Pipelined,
-				HostParallelism: opt.Parallelism,
-			},
-			Submit: host.SubmitterConfig{
-				MaxBatch:        opt.MaxBatch,
-				MaxDelaySeconds: opt.MaxDelaySeconds,
-			},
-			Traffic: host.TrafficConfig{
-				Ops: ops, Rate: rate, ReadPct: opt.ReadPct,
-				Keyspace: keys, ZipfS: skew, Seed: opt.Seed,
-			},
-		})
+func runScaleCell(_ workload.Matrix, c workload.Cell, par int) (scaleScenario, error) {
+	cfg, err := serveConfig(c, par)
+	if err != nil {
+		return scaleScenario{}, err
 	}
-	res, err := serve()
+	dpus, keysPerDPU := cfg.Map.DPUs, intAt(c, "keys_per_dpu")
+	cfg.Map.Sample, cfg.Map.Buckets, cfg.Map.Capacity = intAt(c, "sample"), 64, 8*keysPerDPU
+	cfg.Traffic.Keyspace = keysPerDPU * dpus
+	cfg.Traffic.Rate = floatAt(c, "rate_per_dpu") * float64(dpus)
+	cfg.Traffic.Ops = intAt(c, "ops_per_dpu") * dpus
+	res, err := host.Serve(cfg)
 	if err != nil {
 		return scaleScenario{}, err
 	}
 	for i := 1; i < scaleCellReps; i++ {
-		again, err := serve()
+		again, err := host.Serve(cfg)
 		if err != nil {
 			return scaleScenario{}, err
 		}
@@ -184,8 +143,8 @@ func runScaleCell(dpus int, skew float64, opt scaleOptions) (scaleScenario, erro
 	}
 	sc := scaleScenario{
 		DPUs: dpus, SimulatedDPUs: res.SimulatedDPUs,
-		ZipfS: skew, ReadPct: opt.ReadPct, RatePerSecond: rate,
-		Keyspace: keys, Ops: res.Ops, Batches: res.Batches,
+		ZipfS: cfg.Traffic.ZipfS, ReadPct: cfg.Traffic.ReadPct, RatePerSecond: cfg.Traffic.Rate,
+		Keyspace: cfg.Traffic.Keyspace, Ops: res.Ops, Batches: res.Batches,
 		OpsPerSecond: res.OpsPerSecond,
 		P50Seconds:   res.P50, P99Seconds: res.P99,
 		Makespan: res.MakespanSeconds,
@@ -197,65 +156,4 @@ func runScaleCell(dpus int, skew float64, opt scaleOptions) (scaleScenario, erro
 		sc.HostOpsPerSecondReal = float64(res.Ops) / res.HostSeconds
 	}
 	return sc, nil
-}
-
-// runScale sweeps fleet size × skew under sampled-fleet execution,
-// renders the table to w, and writes BENCH_scale.json when opt.Out is
-// set.
-func runScale(opt scaleOptions, w io.Writer) ([]scaleScenario, error) {
-	opt.fill()
-	start := time.Now()
-	var scenarios []scaleScenario
-	for _, n := range opt.Fleets {
-		for _, skew := range opt.Skews {
-			sc, err := runScaleCell(n, skew, opt)
-			if err != nil {
-				return nil, fmt.Errorf("scale %d DPUs zipf %g: %w", n, skew, err)
-			}
-			scenarios = append(scenarios, sc)
-		}
-	}
-	elapsed := time.Since(start).Seconds()
-	within := elapsed <= opt.WallBudgetSeconds
-
-	fmt.Fprintf(w, "== scale: paper-scale sampled-fleet serving sweep (%d of n DPUs simulated, batch ≤ %d ops) ==\n",
-		opt.Sample, opt.MaxBatch)
-	fmt.Fprintln(w, hostParHeader(opt.Parallelism))
-	fmt.Fprintf(w, "%6s %6s %5s %9s %9s %14s %12s %12s %12s\n",
-		"#DPUs", "#sim", "zipf", "keys", "ops", "modeled ops/s", "p50 ms", "p99 ms", "host ms")
-	for _, sc := range scenarios {
-		fmt.Fprintf(w, "%6d %6d %5.2f %9d %9d %14.0f %12.3f %12.3f %12.3f\n",
-			sc.DPUs, sc.SimulatedDPUs, sc.ZipfS, sc.Keyspace, sc.Ops,
-			sc.OpsPerSecond, sc.P50Seconds*1e3, sc.P99Seconds*1e3,
-			sc.HostWallSeconds*1e3)
-	}
-	fmt.Fprintf(w, "real wall clock: %.1fs (budget %.0fs, within budget: %v)\n",
-		elapsed, opt.WallBudgetSeconds, within)
-
-	if opt.Out != "" {
-		blob, err := json.MarshalIndent(scaleReport{
-			SchemaVersion:     3,
-			Experiment:        "scale",
-			SampleDPUs:        opt.Sample,
-			GOMAXPROCS:        runtime.GOMAXPROCS(0),
-			HostParallelism:   opt.Parallelism,
-			WallBudgetSeconds: opt.WallBudgetSeconds,
-			WithinBudget:      within,
-			Scenarios:         scenarios,
-		}, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opt.Out, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s (%d scenarios)\n", opt.Out, len(scenarios))
-	}
-	if !within {
-		if opt.StrictBudget {
-			return nil, fmt.Errorf("sweep took %.1fs, over its pinned %.0fs wall-clock budget", elapsed, opt.WallBudgetSeconds)
-		}
-		fmt.Fprintf(w, "WARNING: sweep exceeded its pinned wall-clock budget\n")
-	}
-	return scenarios, nil
 }

@@ -6,30 +6,20 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"pimstm/internal/core"
 )
 
 // TestRunServe drives a miniature serving sweep end to end: table
 // rendered, JSON artifact written, byte-identical across same-seed
 // runs, and the pipelined tail beating lockstep at a saturating rate.
 func TestRunServe(t *testing.T) {
-	opt := serveOptions{
-		Fleets:   []int{1, 4},
-		Algs:     []core.Algorithm{core.NOrec},
-		Skews:    []float64{0, 1.5},
-		Rates:    []float64{2e5}, // past lockstep capacity: queueing visible
-		ReadPct:  90,
-		Ops:      400,
-		Keyspace: 256,
-		MaxBatch: 32,
-		Seed:     1,
+	sets := []string{
+		"dpus=1,4", "stm=norec", "zipf=0,1.5",
+		"rate=2e5", // past lockstep capacity: queueing visible
+		"ops=400", "keys=256", "batch=32",
 	}
 	run := func(out string) []serveScenario {
-		o := opt
-		o.Out = out
 		var sb strings.Builder
-		scenarios, err := runServe(o, &sb)
+		scenarios, err := serveSweep.run(sets, 0, out, &sb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,24 +68,11 @@ func TestRunServe(t *testing.T) {
 		t.Fatal("same-seed serve artifacts differ")
 	}
 
-	var report serveReport
+	var report sweepReport[serveScenario]
 	if err := json.Unmarshal(a, &report); err != nil {
 		t.Fatal(err)
 	}
 	if report.SchemaVersion != 1 || report.Experiment != "serve" || len(report.Scenarios) != 4 {
 		t.Fatalf("artifact wrong: %+v", report)
-	}
-}
-
-func TestParseFloats(t *testing.T) {
-	got, err := parseFloats("0, 1.2,2e5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 1.2 || got[2] != 2e5 {
-		t.Fatalf("parseFloats = %v", got)
-	}
-	if _, err := parseFloats("1,x"); err == nil {
-		t.Fatal("bad list accepted")
 	}
 }

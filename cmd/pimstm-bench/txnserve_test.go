@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"pimstm/internal/core"
 )
 
 // TestRunTxnServe drives a miniature transactional serving sweep end to
@@ -17,25 +15,13 @@ import (
 // FIFO, and the lane scheduler closing that cliff — lower mixed-batch
 // p99 than FIFO with no throughput regression on pure streams.
 func TestRunTxnServe(t *testing.T) {
-	opt := txnServeOptions{
-		Fleets:     []int{2, 4},
-		Algs:       []core.Algorithm{core.NOrec},
-		TxnSizes:   []int{1, 2},
-		CrossFracs: []float64{0, 0.5, 1},
-		Skews:      []float64{0},
-		Scheds:     []string{"fifo", "lane"},
-		Rate:       4e4,
-		ReadPct:    80,
-		Txns:       200,
-		Keyspace:   256,
-		MaxBatch:   32,
-		Seed:       1,
+	sets := []string{
+		"dpus=2,4", "stm=norec", "txn=1,2", "cross=0,0.5,1", "zipf=0",
+		"sched=fifo,lane", "txns=200", "keys=256", "batch=32",
 	}
 	run := func(out string) []txnServeScenario {
-		o := opt
-		o.Out = out
 		var sb strings.Builder
-		scenarios, err := runTxnServe(o, &sb)
+		scenarios, err := txnServeSweep.run(sets, 0, out, &sb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +133,7 @@ func TestRunTxnServe(t *testing.T) {
 		t.Fatal("same-seed txnserve artifacts differ")
 	}
 
-	var report txnServeReport
+	var report sweepReport[txnServeScenario]
 	if err := json.Unmarshal(a, &report); err != nil {
 		t.Fatal(err)
 	}

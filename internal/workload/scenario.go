@@ -112,13 +112,11 @@ func (m Matrix) cellPairs(c Cell) []pairKey {
 	return out
 }
 
-// Expand enumerates the cartesian product, applies the predicates,
-// verifies every declared axis value survives in at least one valid
-// cell (a domain value no cell can use is a declaration bug, not a
-// sweep gap), and greedily selects a pairwise-covering subset, padded
-// to MinCells. Deterministic per seed: the same declaration and seed
-// always emit the same cells in the same order.
-func (m Matrix) Expand(seed uint64) ([]Cell, Coverage, error) {
+// Cells enumerates the cartesian product in odometer order (first axis
+// slowest, the order nested loops over the axes would visit) and drops
+// every cell a predicate rejects. The returned Coverage carries the raw,
+// valid and per-predicate excluded counts plus the declared domains.
+func (m Matrix) Cells() ([]Cell, Coverage, error) {
 	if err := m.validate(); err != nil {
 		return nil, Coverage{}, err
 	}
@@ -126,9 +124,6 @@ func (m Matrix) Expand(seed uint64) ([]Cell, Coverage, error) {
 	for _, ax := range m.Axes {
 		cov.AxisValues[ax.Name] = append([]string(nil), ax.Values...)
 	}
-
-	// Odometer enumeration, first axis slowest — the raw order is part
-	// of the determinism contract.
 	var valid []Cell
 	idx := make([]int, len(m.Axes))
 	for {
@@ -163,6 +158,20 @@ func (m Matrix) Expand(seed uint64) ([]Cell, Coverage, error) {
 	cov.ValidCells = len(valid)
 	if len(valid) == 0 {
 		return nil, Coverage{}, fmt.Errorf("workload: predicates rejected every cell")
+	}
+	return valid, cov, nil
+}
+
+// Expand takes the valid cells of Cells, verifies every declared axis
+// value survives in at least one of them (a domain value no cell can
+// use is a declaration bug, not a sweep gap), and greedily selects a
+// pairwise-covering subset, padded to MinCells. Deterministic per seed:
+// the same declaration and seed always emit the same cells in the same
+// order.
+func (m Matrix) Expand(seed uint64) ([]Cell, Coverage, error) {
+	valid, cov, err := m.Cells()
+	if err != nil {
+		return nil, Coverage{}, err
 	}
 
 	// Axis-value completeness: a declared value no valid cell carries

@@ -157,3 +157,49 @@ func TestMatrixAxisCompleteness(t *testing.T) {
 		t.Fatal("expansion accepted a fully starved axis value")
 	}
 }
+
+// TestMatrixCellsNestedLoopOrder: Cells emits every valid cell in the
+// order nested loops over the axes would (first axis slowest), drops
+// rejected cells without requiring every value to survive, and keeps
+// the ledger balanced.
+func TestMatrixCellsNestedLoopOrder(t *testing.T) {
+	m := Matrix{
+		Axes: []Axis{
+			{Name: "size", Values: []string{"1", "2"}},
+			{Name: "cross", Values: []string{"0", "0.5"}},
+		},
+		Predicates: []Predicate{{Name: "single-op-cannot-cross", Reject: func(c Cell) bool {
+			return c["size"] == "1" && c["cross"] != "0"
+		}}},
+	}
+	cells, cov, err := m.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, c := range cells {
+		ids = append(ids, m.CellID(c))
+	}
+	want := []string{"size=1,cross=0", "size=2,cross=0", "size=2,cross=0.5"}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("cells = %v, want %v", ids, want)
+	}
+	if cov.RawCells != 4 || cov.ValidCells != 3 || cov.Excluded["single-op-cannot-cross"] != 1 {
+		t.Fatalf("coverage = %+v", cov)
+	}
+
+	// A value no valid cell carries is fine for Cells (a -set sweep may
+	// ask for it); only the covering Expand treats it as a bug.
+	m.Axes[1].Values = []string{"0.5"}
+	m.Axes[0].Values = []string{"1", "2"}
+	if cells, _, err := m.Cells(); err != nil || len(cells) != 1 {
+		t.Fatalf("Cells = %v, %v", cells, err)
+	}
+	if _, _, err := m.Expand(1); err == nil {
+		t.Fatal("Expand accepted a starved axis value")
+	}
+	m.Axes[0].Values = []string{"1"}
+	if _, _, err := m.Cells(); err == nil {
+		t.Fatal("Cells accepted a matrix whose predicates reject every cell")
+	}
+}
